@@ -143,6 +143,11 @@ impl<T: Copy> LabelLookup<T> {
         LabelLookup { slots }
     }
 
+    /// The entry at `l`, if one was registered.
+    pub fn get(&self, l: Label) -> Option<T> {
+        self.slots.get(l.index() as usize).copied().flatten()
+    }
+
     /// The entry at `l`; panics (like `map[&l]`) if absent.
     pub fn expect(&self, l: Label) -> T {
         self.slots[l.index() as usize].expect("label not in lookup table")
@@ -199,5 +204,8 @@ mod tests {
     fn lookup_expects_registered_labels() {
         let lk = LabelLookup::build(4, [(Label::new(2), 42u64)]);
         assert_eq!(lk.expect(Label::new(2)), 42);
+        assert_eq!(lk.get(Label::new(2)), Some(42));
+        assert_eq!(lk.get(Label::new(3)), None);
+        assert_eq!(lk.get(Label::new(99)), None);
     }
 }

@@ -13,10 +13,13 @@
 //! 2. **Warm answers certify too.** Incremental re-solves
 //!    (`WarmSolve::Warm`) are checked against the *edited* program, the
 //!    way the service certifies session warm-starts before serving them.
-//! 3. **Soundness against corruption.** A proptest mutates valid
-//!    fixpoints one element at a time — an added flow value, a removed
-//!    flow value, a dropped call edge — and every mutation must refute
-//!    for all three 0CFA analyses while the originals keep certifying.
+//! 3. **Soundness against corruption.** Valid fixpoints are mutated one
+//!    element at a time — an added or removed flow value, a dropped call
+//!    edge, an added or dropped `returns` entry (CPS and pushdown), an
+//!    added or dropped pushdown `matched` witness, a raised or lowered MFP
+//!    variable — and every mutation must refute while the originals keep
+//!    certifying: exhaustively over 24 corpus slots × every mutation kind,
+//!    and again under a proptest.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
@@ -36,10 +39,11 @@ use cpsdfa_core::govern::{DegradationReport, RunGuard};
 use cpsdfa_core::incremental::{
     solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, WarmSolve,
 };
-use cpsdfa_core::mfp::Cfg;
-use cpsdfa_core::pushdown::{pushdown_cfa, PushdownCfaResult};
+use cpsdfa_core::labtab::LabelTable;
+use cpsdfa_core::mfp::{Cfg, DfSummary};
+use cpsdfa_core::pushdown::{pushdown_cfa, MatchedReturn, PushdownCfaResult};
 use cpsdfa_core::trace::NoopSink;
-use cpsdfa_core::{AbsClo, SolverMode};
+use cpsdfa_core::{AbsClo, AbsKont, SolverMode};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
@@ -307,61 +311,246 @@ fn pd_drop_call_edge(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     Some(m)
 }
 
+/// Adds one continuation to a `returns` entry that lacks it: `stop`, or a
+/// continuation some other return site resumes.
+fn returns_add(t: &LabelTable<BTreeSet<AbsKont>>) -> Option<LabelTable<BTreeSet<AbsKont>>> {
+    let pool: BTreeSet<AbsKont> = std::iter::once(AbsKont::Stop)
+        .chain(t.values().flatten().copied())
+        .collect();
+    for (site, set) in t.iter() {
+        if let Some(&k) = pool.iter().find(|k| !set.contains(k)) {
+            let mut m = t.clone();
+            m.entry_or_default(site).insert(k);
+            return Some(m);
+        }
+    }
+    None
+}
+
+/// Drops one continuation from the first non-empty `returns` entry, and
+/// the entry with it when that empties it (the analyzers store no empty
+/// entries).
+fn returns_drop(t: &LabelTable<BTreeSet<AbsKont>>) -> Option<LabelTable<BTreeSet<AbsKont>>> {
+    let (site, k) = t
+        .iter()
+        .find_map(|(l, s)| s.iter().next().map(|&k| (l, k)))?;
+    Some(
+        t.iter()
+            .filter_map(|(l, s)| {
+                let mut s = s.clone();
+                if l == site {
+                    s.remove(&k);
+                }
+                (!s.is_empty()).then_some((l, s))
+            })
+            .collect(),
+    )
+}
+
+fn cps_add_return(r: &CpsCfaResult) -> Option<CpsCfaResult> {
+    let mut m = r.clone();
+    m.returns = returns_add(&r.returns)?;
+    Some(m)
+}
+
+fn cps_drop_return(r: &CpsCfaResult) -> Option<CpsCfaResult> {
+    let mut m = r.clone();
+    m.returns = returns_drop(&r.returns)?;
+    Some(m)
+}
+
+fn pd_add_return(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
+    let mut m = r.clone();
+    m.returns = returns_add(&r.returns)?;
+    Some(m)
+}
+
+fn pd_drop_return(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
+    let mut m = r.clone();
+    m.returns = returns_drop(&r.returns)?;
+    Some(m)
+}
+
+/// Adds a forged matched witness: one real witness's return re-wired to
+/// another's call, or (with a single witness) to a bogus continuation.
+fn pd_add_matched(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
+    let forged = r
+        .matched
+        .iter()
+        .flat_map(|a| {
+            r.matched.iter().map(move |b| MatchedReturn {
+                call_site: b.call_site,
+                cont: b.cont,
+                ..*a
+            })
+        })
+        .chain(r.matched.iter().map(|a| MatchedReturn {
+            cont: a.ret_site,
+            ..*a
+        }))
+        .find(|w| !r.matched.contains(w))?;
+    let mut m = r.clone();
+    m.matched.insert(forged);
+    Some(m)
+}
+
+fn pd_drop_matched(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
+    let w = *r.matched.iter().next()?;
+    let mut m = r.clone();
+    m.matched.remove(&w);
+    Some(m)
+}
+
+/// Raises the first variable below ⊤ one step: ⊥ to a constant, a constant
+/// to ⊤.
+fn mfp_raise(s: &DfSummary<Flat>) -> Option<DfSummary<Flat>> {
+    let i = s.vars.iter().position(|v| *v != Flat::Top)?;
+    let mut m = s.clone();
+    m.vars[i] = match s.vars[i] {
+        Flat::Bot => Flat::Const(0),
+        _ => Flat::Top,
+    };
+    Some(m)
+}
+
+/// Lowers the first variable above ⊥ one step: ⊤ to a constant, a constant
+/// to ⊥.
+fn mfp_lower(s: &DfSummary<Flat>) -> Option<DfSummary<Flat>> {
+    let i = s.vars.iter().position(|v| *v != Flat::Bot)?;
+    let mut m = s.clone();
+    m.vars[i] = match s.vars[i] {
+        Flat::Top => Flat::Const(0),
+        _ => Flat::Bot,
+    };
+    Some(m)
+}
+
+/// The mutation kinds: which analyses each applies to is decided in
+/// [`check_mutation`].
+const MUTATIONS: [&str; 9] = [
+    "add flow value",
+    "drop flow value",
+    "drop call edge",
+    "add returns entry",
+    "drop returns entry",
+    "add matched witness",
+    "drop matched witness",
+    "raise MFP variable",
+    "lower MFP variable",
+];
+
+/// Certifies every analysis' original answer on corpus slot `slot`, then
+/// applies mutation `mutation` wherever it applies and demands a
+/// refutation. Returns how many analyses the mutation was applied to.
+fn check_mutation(slot: usize, mutation: usize) -> Result<usize, String> {
+    let progs = corpus(0xCE47F, 24, &open_config());
+    let p = AnfProgram::from_term(&progs[slot]);
+    let name = MUTATIONS[mutation];
+    let mut applied = 0;
+
+    let src = zero_cfa(&p).expect("src 0CFA completes");
+    certify_cfa_src(&p, &src).map_err(|e| format!("original src answer refuted: {e}"))?;
+    let mutated = match mutation {
+        0 => src_add_fact(&src),
+        1 => src_drop_fact(&src),
+        2 => src_drop_call_edge(&src),
+        _ => None,
+    };
+    if let Some(m) = mutated {
+        applied += 1;
+        if certify_cfa_src(&p, &m).is_ok() {
+            return Err(format!("src answer with `{name}` certified"));
+        }
+    }
+
+    let cps = CpsProgram::from_anf(&p);
+    let cps_r = zero_cfa_cps(&cps).expect("cps 0CFA completes");
+    certify_cfa_cps(&cps, &cps_r).map_err(|e| format!("original cps answer refuted: {e}"))?;
+    let mutated = match mutation {
+        0 => cps_add_fact(&cps_r),
+        1 => cps_drop_fact(&cps_r),
+        2 => cps_drop_call_edge(&cps_r),
+        3 => cps_add_return(&cps_r),
+        4 => cps_drop_return(&cps_r),
+        _ => None,
+    };
+    if let Some(m) = mutated {
+        applied += 1;
+        if certify_cfa_cps(&cps, &m).is_ok() {
+            return Err(format!("cps answer with `{name}` certified"));
+        }
+    }
+
+    let pd = pushdown_cfa(&cps).expect("pushdown completes");
+    certify_pushdown(&cps, &pd).map_err(|e| format!("original pushdown answer refuted: {e}"))?;
+    let mutated = match mutation {
+        0 => pd_add_fact(&pd),
+        1 => pd_drop_fact(&pd),
+        2 => pd_drop_call_edge(&pd),
+        3 => pd_add_return(&pd),
+        4 => pd_drop_return(&pd),
+        5 => pd_add_matched(&pd),
+        6 => pd_drop_matched(&pd),
+        _ => None,
+    };
+    if let Some(m) = mutated {
+        applied += 1;
+        if certify_pushdown(&cps, &m).is_ok() {
+            return Err(format!("pushdown answer with `{name}` certified"));
+        }
+    }
+
+    // MFP needs a first-order program: the slot's own when it lowers, a
+    // first-order family of slot-dependent size otherwise.
+    let fo = if Cfg::from_first_order(&p).is_ok() {
+        p
+    } else {
+        let family = [families::cond_chain, families::diamond_chain][slot % 2];
+        AnfProgram::from_term(&family(slot + 2))
+    };
+    let cfg = Cfg::from_first_order(&fo).expect("first-order program lowers");
+    let s = cfg
+        .solve_mfp::<Flat>(cfg.initial_env(&fo))
+        .expect("MFP completes");
+    certify_mfp(&fo, &s).map_err(|e| format!("original mfp answer refuted: {e}"))?;
+    let mutated = match mutation {
+        7 => mfp_raise(&s),
+        8 => mfp_lower(&s),
+        _ => None,
+    };
+    if let Some(m) = mutated {
+        applied += 1;
+        if certify_mfp(&fo, &m).is_ok() {
+            return Err(format!("mfp answer with `{name}` certified"));
+        }
+    }
+    Ok(applied)
+}
+
+#[test]
+fn every_mutation_kind_is_refuted_on_every_corpus_slot() {
+    for (mutation, name) in MUTATIONS.iter().enumerate() {
+        let mut applied = 0;
+        for slot in 0..24 {
+            applied += check_mutation(slot, mutation)
+                .unwrap_or_else(|e| panic!("slot {slot}, `{name}`: {e}"));
+        }
+        assert!(applied > 0, "`{name}` never applied: the sweep is vacuous");
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random corpus slot, random mutation kind: the original fixpoint of
-    /// every 0CFA analysis certifies, and the single-element mutation of
-    /// it never does.
+    /// every analysis certifies, and the single-element mutation of it
+    /// never does.
     #[test]
     fn prop_single_element_mutations_are_refuted(
         slot in 0usize..24,
-        mutation in 0usize..3,
+        mutation in 0usize..MUTATIONS.len(),
     ) {
-        let progs = corpus(0xCE47F, 24, &open_config());
-        let p = AnfProgram::from_term(&progs[slot]);
-
-        let src = zero_cfa(&p).expect("src 0CFA completes");
-        prop_assert!(certify_cfa_src(&p, &src).is_ok(), "original src answer must certify");
-        let mutated = match mutation {
-            0 => src_add_fact(&src),
-            1 => src_drop_fact(&src),
-            _ => src_drop_call_edge(&src),
-        };
-        if let Some(m) = mutated {
-            prop_assert!(
-                certify_cfa_src(&p, &m).is_err(),
-                "mutated src answer (kind {mutation}) must refute"
-            );
-        }
-
-        let cps = CpsProgram::from_anf(&p);
-        let cps_r = zero_cfa_cps(&cps).expect("cps 0CFA completes");
-        prop_assert!(certify_cfa_cps(&cps, &cps_r).is_ok(), "original cps answer must certify");
-        let mutated = match mutation {
-            0 => cps_add_fact(&cps_r),
-            1 => cps_drop_fact(&cps_r),
-            _ => cps_drop_call_edge(&cps_r),
-        };
-        if let Some(m) = mutated {
-            prop_assert!(
-                certify_cfa_cps(&cps, &m).is_err(),
-                "mutated cps answer (kind {mutation}) must refute"
-            );
-        }
-
-        let pd = pushdown_cfa(&cps).expect("pushdown completes");
-        prop_assert!(certify_pushdown(&cps, &pd).is_ok(), "original pushdown answer must certify");
-        let mutated = match mutation {
-            0 => pd_add_fact(&pd),
-            1 => pd_drop_fact(&pd),
-            _ => pd_drop_call_edge(&pd),
-        };
-        if let Some(m) = mutated {
-            prop_assert!(
-                certify_pushdown(&cps, &m).is_err(),
-                "mutated pushdown answer (kind {mutation}) must refute"
-            );
-        }
+        let outcome = check_mutation(slot, mutation);
+        prop_assert!(outcome.is_ok(), "slot {}: {:?}", slot, outcome);
     }
 }
