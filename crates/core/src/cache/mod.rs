@@ -10,15 +10,10 @@
 //!
 //! # Content addressing
 //!
-//! A cache key is `(analysis kind, engine shards, subtree digest, rung)`:
+//! A cache key is `(analysis kind, subtree digest, rung)`:
 //!
 //! * **kind** — which fixpoint was asked for ([`AnalysisKind`]): source
 //!   0CFA, CPS 0CFA, or first-order MFP over `Flat`.
-//! * **shards** — the [`SolverMode`](crate::solver::SolverMode) shard count
-//!   (0 for `Seq`). `Par(k)` and `Seq` are result-identical by the PR 6
-//!   differential suite, but the engine is part of the request contract, so
-//!   it stays in the key and the differential tests assert hit ≡ fresh
-//!   per mode rather than across modes.
 //! * **digest** — a structural 128-bit FNV-1a digest of the hash-consed
 //!   [`TermArena`] subtree ([`ArenaDigests`]), memoized per [`TermId`]:
 //!   because the arena hash-conses, a repeated program parses to the same
@@ -136,9 +131,8 @@ fn fnv128_name(h: u128, name: &str) -> u128 {
 
 /// A stable digest of an answer's canonical `Debug` rendering (`BTreeSet`
 /// iterates sorted, `LabelTable` iterates in label order), FNV-1a folded to
-/// one `u64` — the same discipline the parallel differential suite uses to
-/// pin bit-for-bit repeatability. Two answers digest equal iff their
-/// canonical forms coincide.
+/// one `u64`. Two answers digest equal iff their canonical forms
+/// coincide.
 pub fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
     fnv_bytes(FNV_OFFSET, format!("{value:?}").as_bytes())
 }
@@ -286,14 +280,12 @@ impl AnalysisKind {
     }
 }
 
-/// A content address: analysis kind × engine shard count × structural
-/// program digest × producing rung.
+/// A content address: analysis kind × structural program digest ×
+/// producing rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The analysis requested.
     pub kind: AnalysisKind,
-    /// [`SolverMode::shards`]: 0 for the sequential engine.
-    pub shards: usize,
     /// Structural digest of the program ([`ArenaDigests::term_digest`]).
     pub digest: u128,
     /// The ladder rung that produced (or is asked for) the answer.
@@ -304,10 +296,11 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The key a fresh request looks up: the kind's full-precision rung.
-    pub fn full(kind: AnalysisKind, mode: SolverMode, digest: u128) -> CacheKey {
+    /// The [`SolverMode`] argument is ignored (there is one engine); the
+    /// `perfbench/` harness is the only caller that needs it.
+    pub fn full(kind: AnalysisKind, _mode: SolverMode, digest: u128) -> CacheKey {
         CacheKey {
             kind,
-            shards: mode.shards(),
             digest,
             rung: kind.full_rung(),
         }
@@ -316,19 +309,15 @@ impl CacheKey {
     /// The key an *answered* request inserts under: the rung that actually
     /// produced the value. For an undegraded run this equals
     /// [`CacheKey::full`]; for a degraded run it is a distinct key, so the
-    /// degraded answer can never shadow a full-precision one.
+    /// degraded answer can never shadow a full-precision one. The
+    /// [`SolverMode`] argument is ignored, as in [`CacheKey::full`].
     pub fn for_rung(
         kind: AnalysisKind,
-        mode: SolverMode,
+        _mode: SolverMode,
         digest: u128,
         rung: &'static str,
     ) -> CacheKey {
-        CacheKey {
-            kind,
-            shards: mode.shards(),
-            digest,
-            rung,
-        }
+        CacheKey { kind, digest, rung }
     }
 }
 
@@ -398,9 +387,9 @@ impl SendCfa {
     }
 
     /// Digest of the *solution* alone. `iterations` is excluded on
-    /// purpose: it is a work counter, and under `Par(k)` work stealing it
-    /// varies run to run on a loaded host even though the solution is
-    /// bit-identical — two equal answers must digest equal.
+    /// purpose: it is a work counter, and a warm-started solve reaches the
+    /// same solution in fewer firings than a cold one — two equal answers
+    /// must digest equal.
     pub fn solution_digest(&self) -> u64 {
         debug_digest(&(&self.vars, &self.terms, &self.calls))
     }
@@ -562,9 +551,9 @@ impl CachedAnswer {
 
     /// Canonical-form digest of the *solution* — what service responses
     /// carry so clients can assert bit-identity without shipping stores.
-    /// Work counters are excluded: under `Par(k)` work stealing,
-    /// `iterations` varies run to run while the solution does not, and
-    /// equal answers must digest equal.
+    /// Work counters are excluded: a warm start and a cold solve differ
+    /// in `iterations` while the solution does not, and equal answers must
+    /// digest equal.
     pub fn digest(&self) -> u64 {
         match self {
             CachedAnswer::CfaSrc(r) => r.solution_digest(),
@@ -1104,9 +1093,9 @@ mod tests {
 
     #[test]
     fn answer_digest_ignores_schedule_dependent_work_counters() {
-        // Under Par(k) work stealing, `iterations` varies run to run on a
-        // loaded host while the solution stays bit-identical; the canonical
-        // digest must see through that.
+        // A warm start and a cold solve differ in `iterations` while the
+        // solution stays bit-identical; the canonical digest must see
+        // through that.
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
         let a = SendCfa::from_result(&zero_cfa(&p).unwrap());
         let mut b = a.clone();

@@ -59,27 +59,19 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// File magic: module name + format version, newline-terminated so a
-/// `head -c8` of an entry is self-describing.
-const MAGIC: &[u8; 8] = b"CPSDFA1\n";
+/// `head -c8` of an entry is self-describing. Version 2 dropped the
+/// engine shard count from the key; recovery treats a version-1 file as
+/// corrupt and deletes it.
+const MAGIC: &[u8; 8] = b"CPSDFA2\n";
 
 /// Rung names a persisted key may carry. Interning back to `&'static str`
 /// keeps [`CacheKey`]'s content-equality semantics; an unknown rung means
 /// the entry was written by an incompatible build and is dropped as
 /// corrupt rather than leaked into the key space.
 fn intern_rung(name: &str) -> Option<&'static str> {
-    [
-        "cfa.src",
-        "cfa.src.seq",
-        "cfa.cps",
-        "cfa.cps.seq",
-        "cfa.pushdown",
-        "cfa.pushdown.seq",
-        "mfp.flat",
-        "mfp.flat.seq",
-        "warm",
-    ]
-    .into_iter()
-    .find(|&known| known == name)
+    ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat", "warm"]
+        .into_iter()
+        .find(|&known| known == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +226,6 @@ fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint)
             .position(|k| *k == key.kind)
             .expect("kind in ALL") as u8,
     );
-    put_u64(&mut out, key.shards as u64);
     put_u128(&mut out, key.digest);
     put_str(&mut out, key.rung);
     put_str(&mut out, source);
@@ -425,7 +416,6 @@ impl<'a> Cur<'a> {
 fn decode_entry_payload(payload: &[u8]) -> Option<(CacheKey, String, CachedAnswer)> {
     let mut cur = Cur { b: payload, p: 0 };
     let kind = *AnalysisKind::ALL.get(cur.u8()? as usize)?;
-    let shards = usize::try_from(cur.u64()?).ok()?;
     let digest = cur.u128()?;
     let rung = intern_rung(&cur.str()?)?;
     let source = cur.str()?;
@@ -433,16 +423,7 @@ fn decode_entry_payload(payload: &[u8]) -> Option<(CacheKey, String, CachedAnswe
     if !cur.done() {
         return None;
     }
-    Some((
-        CacheKey {
-            kind,
-            shards,
-            digest,
-            rung,
-        },
-        source,
-        answer,
-    ))
+    Some((CacheKey { kind, digest, rung }, source, answer))
 }
 
 /// Recovery cannot know the original run's governance history — the report
@@ -550,9 +531,8 @@ impl PersistDir {
 
     fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.root.join(format!(
-            "{}-{}-{:032x}-{}.entry",
+            "{}-{:032x}-{}.entry",
             key.kind.as_str(),
-            key.shards,
             key.digest,
             key.rung
         ))
@@ -641,7 +621,6 @@ impl PersistDir {
     ) -> io::Result<bool> {
         let key = CacheKey {
             kind: ancestor.kind,
-            shards: 0,
             digest: ancestor.digest,
             rung: "warm",
         };
@@ -853,7 +832,6 @@ mod tests {
         for answer in answers {
             let key = CacheKey {
                 kind: answer.kind(),
-                shards: 2,
                 digest: 0xfeed,
                 rung: answer.kind().full_rung(),
             };
@@ -958,6 +936,34 @@ mod tests {
         persist.remove_session(17);
         let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
         assert_eq!(report.sessions, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_one_entry_is_counted_corrupt_deleted_and_re_solved() {
+        // A spill directory written before the shard count left the key:
+        // the same entry framed as version 1, with the old `u64` shard
+        // field after the kind byte and the old file name.
+        let dir = tmpdir("v1");
+        let persist = PersistDir::open(&dir).unwrap();
+        let (key, fixpoint) = fixture(SRC);
+        let v2 = encode_entry_payload(&key, SRC, &fixpoint);
+        let mut v1 = vec![v2[0]];
+        put_u64(&mut v1, 0);
+        v1.extend_from_slice(&v2[1..]);
+        let mut bytes = b"CPSDFA1\n".to_vec();
+        bytes.extend_from_slice(&(v1.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&v1);
+        bytes.extend_from_slice(&fnv128_bytes(FNV128_OFFSET, &v1).to_le_bytes());
+        let path = dir.join(format!("cfa.src-0-{:032x}-cfa.src.entry", key.digest));
+        fs::write(&path, bytes).unwrap();
+        let mut cache = FixpointCache::new(u64::MAX);
+        let report = persist.recover(&mut cache, 8);
+        assert_eq!((report.recovered, report.corrupt), (0, 1));
+        assert!(!path.exists(), "recovery deletes the old-format entry");
+        assert!(cache.lookup(&key).is_none());
+        // Re-solving gives the answer digest the version-1 daemon served.
+        assert_eq!(fixpoint.answer_digest, 0xc76b_e753_0d76_e446);
         let _ = fs::remove_dir_all(&dir);
     }
 

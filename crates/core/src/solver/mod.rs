@@ -31,15 +31,38 @@
 //! pass reverse-postorder ranks (MFP) or source order (CFA) — so solving
 //! is fully deterministic.
 
-pub mod par;
-
-pub use par::{worker_count, SolverMode};
-
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
 use crate::stats::SolverStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroUsize;
+
+/// The engine a fixpoint client runs on. There is one: the single-threaded
+/// worklist engine. The type survives only so the `perfbench/` harness's
+/// `*_guarded_mode` and `CacheKey` call shapes keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SolverMode {
+    /// The single-threaded worklist engine.
+    Seq,
+}
+
+/// The worker count configured for this process: the `CPSDFA_WORKERS`
+/// environment variable if set to a parseable integer (clamped to at least
+/// 1, so `0` means "sequential", not "panic"), otherwise the available
+/// hardware parallelism, or 1 if neither can be determined.
+///
+/// This is the single parsing point for the knob: `workloads::par` (the
+/// corpus-level map) and the `cpsdfad` worker pool both call through here,
+/// so the two always agree on what the variable means.
+pub fn worker_count() -> usize {
+    if let Ok(raw) = std::env::var("CPSDFA_WORKERS") {
+        if let Ok(n) = raw.trim().parse::<usize>() {
+            return n.max(1);
+        }
+    }
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
 
 /// A constraint index handed out by [`WorklistSolver::add_constraint`].
 pub type ConstraintId = usize;

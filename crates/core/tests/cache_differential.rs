@@ -4,8 +4,7 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. **Round-trip bit-identity.** For all three analyses (source 0CFA,
-//!    CPS 0CFA, MFP over `Flat`) and across `SolverMode::{Seq, Par(k)}`,
-//!    committing a solution into the cache and reading it back yields a
+//!    CPS 0CFA, MFP over `Flat`), committing a solution into the cache and reading it back yields a
 //!    result that is `same_solution`-equal to a second fresh solve, with
 //!    an identical canonical digest — on a 300-program random corpus.
 //! 2. **Content addressing.** The same program parsed into *different*
@@ -22,7 +21,7 @@ use cpsdfa_core::cache::{
     debug_digest, AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
     FixpointCache, SendCfa, SendCpsCfa,
 };
-use cpsdfa_core::cfa::{zero_cfa_cps_guarded_mode, zero_cfa_guarded_mode};
+use cpsdfa_core::cfa::{zero_cfa_cps_guarded, zero_cfa_guarded};
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::govern::{
     governed_pushdown_cfa, governed_zero_cfa_cps, DegradationReport, GovernPolicy, RunGuard,
@@ -42,19 +41,20 @@ fn digest_in_fresh_arena(src: &str) -> u128 {
     ArenaDigests::new().term_digest(&arena, root)
 }
 
-/// Solves `p` under `mode` with both 0CFA representations, commits each
-/// answer through the cache, and checks the reconstructed results against
-/// an independent fresh solve. Returns the first divergence.
-fn check_cache_round_trip(p: &AnfProgram, src_text: &str, mode: SolverMode) -> Result<(), String> {
+/// Solves `p` with both 0CFA representations, commits each answer through
+/// the cache, and checks the reconstructed results against an independent
+/// fresh solve. Returns the first divergence.
+fn check_cache_round_trip(p: &AnfProgram, src_text: &str) -> Result<(), String> {
+    let mode = SolverMode::Seq;
     let digest = digest_in_fresh_arena(src_text);
     let mut cache = FixpointCache::new(u64::MAX);
 
     // --- source 0CFA ---
     let solve_src = || {
         let guard = RunGuard::new(AnalysisBudget::default());
-        zero_cfa_guarded_mode(p, mode, &guard, &mut NoopSink)
+        zero_cfa_guarded(p, &guard, &mut NoopSink)
             .map(|(r, _)| r)
-            .map_err(|e| format!("src 0CFA failed under {mode:?}: {e}"))
+            .map_err(|e| format!("src 0CFA failed: {e}"))
     };
     let first = solve_src()?;
     let key = CacheKey::full(AnalysisKind::CfaSrc, mode, digest);
@@ -72,19 +72,19 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str, mode: SolverMode) -> R
     let restored = mirror.to_result();
     let fresh = solve_src()?;
     if !restored.same_solution(&fresh) {
-        return Err(format!("src hit diverged from fresh solve under {mode:?}"));
+        return Err("src hit diverged from fresh solve".into());
     }
     if hit.answer_digest != SendCfa::from_result(&fresh).solution_digest() {
-        return Err(format!("src digest diverged under {mode:?}"));
+        return Err("src digest diverged".into());
     }
 
     // --- CPS 0CFA ---
     let cps = CpsProgram::from_anf(p);
     let solve_cps = || {
         let guard = RunGuard::new(AnalysisBudget::default());
-        zero_cfa_cps_guarded_mode(&cps, mode, &guard, &mut NoopSink)
+        zero_cfa_cps_guarded(&cps, &guard, &mut NoopSink)
             .map(|(r, _)| r)
-            .map_err(|e| format!("cps 0CFA failed under {mode:?}: {e}"))
+            .map_err(|e| format!("cps 0CFA failed: {e}"))
     };
     let first = solve_cps()?;
     let key = CacheKey::full(AnalysisKind::CfaCps, mode, digest);
@@ -102,10 +102,10 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str, mode: SolverMode) -> R
     let restored = mirror.to_result();
     let fresh = solve_cps()?;
     if !restored.same_solution(&fresh) {
-        return Err(format!("cps hit diverged from fresh solve under {mode:?}"));
+        return Err("cps hit diverged from fresh solve".into());
     }
     if hit.answer_digest != SendCpsCfa::from_result(&fresh).solution_digest() {
-        return Err(format!("cps digest diverged under {mode:?}"));
+        return Err("cps digest diverged".into());
     }
     Ok(())
 }
@@ -117,12 +117,7 @@ fn cache_hits_equal_fresh_solves_on_300_program_corpus() {
     let report = par_map_isolated(&indexed, None, |&(i, t)| {
         let p = AnfProgram::from_term(t);
         let text = t.to_string();
-        // Slot-varied shard count sweeps Seq and Par(1..4).
-        let mode = match i % 4 {
-            0 => SolverMode::Seq,
-            k => SolverMode::Par(k),
-        };
-        check_cache_round_trip(&p, &text, mode).map_err(|e| format!("program {i}: {e}"))
+        check_cache_round_trip(&p, &text).map_err(|e| format!("program {i}: {e}"))
     });
     assert_eq!(report.completed, progs.len(), "no sweep worker may die");
     let failures: Vec<String> = report
@@ -135,7 +130,7 @@ fn cache_hits_equal_fresh_solves_on_300_program_corpus() {
 }
 
 #[test]
-fn mfp_cache_hits_equal_fresh_solves_across_modes() {
+fn mfp_cache_hits_equal_fresh_solves() {
     for (name, term) in [
         ("cond_chain(24)", families::cond_chain(24)),
         ("agreeing_cond_chain(16)", families::agreeing_cond_chain(16)),
@@ -147,27 +142,25 @@ fn mfp_cache_hits_equal_fresh_solves_across_modes() {
         let cfg = Cfg::from_first_order(&p)
             .unwrap_or_else(|e| panic!("{name} should lower to a CFG: {e}"));
         let init = cfg.initial_env::<Flat>(&p);
-        for mode in [SolverMode::Seq, SolverMode::Par(2), SolverMode::Par(4)] {
-            let solve = || {
-                let guard = RunGuard::new(AnalysisBudget::default());
-                cfg.solve_mfp_guarded_mode::<Flat>(init.clone(), mode, &guard, &mut NoopSink)
-                    .unwrap_or_else(|e| panic!("MFP failed on {name} under {mode:?}: {e}"))
-                    .0
-            };
-            let mut cache = FixpointCache::new(u64::MAX);
-            let key = CacheKey::full(AnalysisKind::MfpFlat, mode, digest);
-            cache.insert(
-                key,
-                CachedFixpoint::new(CachedAnswer::MfpFlat(solve()), DegradationReport::default()),
-            );
-            let hit = cache.lookup(&key).expect("entry resident");
-            let CachedAnswer::MfpFlat(summary) = &hit.answer else {
-                panic!("MFP entry changed kind");
-            };
-            let fresh = solve();
-            assert_eq!(summary, &fresh, "MFP hit diverged on {name} under {mode:?}");
-            assert_eq!(hit.answer_digest, debug_digest(&fresh));
-        }
+        let solve = || {
+            let guard = RunGuard::new(AnalysisBudget::default());
+            cfg.solve_mfp_guarded::<Flat>(init.clone(), &guard, &mut NoopSink)
+                .unwrap_or_else(|e| panic!("MFP failed on {name}: {e}"))
+                .0
+        };
+        let mut cache = FixpointCache::new(u64::MAX);
+        let key = CacheKey::full(AnalysisKind::MfpFlat, SolverMode::Seq, digest);
+        cache.insert(
+            key,
+            CachedFixpoint::new(CachedAnswer::MfpFlat(solve()), DegradationReport::default()),
+        );
+        let hit = cache.lookup(&key).expect("entry resident");
+        let CachedAnswer::MfpFlat(summary) = &hit.answer else {
+            panic!("MFP entry changed kind");
+        };
+        let fresh = solve();
+        assert_eq!(summary, &fresh, "MFP hit diverged on {name}");
+        assert_eq!(hit.answer_digest, debug_digest(&fresh));
     }
 }
 
@@ -184,14 +177,6 @@ fn keys_are_arena_and_process_independent_but_program_sensitive() {
         digest_in_fresh_arena(&a),
         digest_in_fresh_arena(&b),
         "different programs must not collide on the happy path"
-    );
-    // Mode is part of the key: a Par(2) answer is not served to a Seq
-    // request (the engines are proven bit-identical, but the request
-    // contract includes the engine).
-    let d = digest_in_fresh_arena(&a);
-    assert_ne!(
-        CacheKey::full(AnalysisKind::CfaCps, SolverMode::Seq, d),
-        CacheKey::full(AnalysisKind::CfaCps, SolverMode::Par(2), d)
     );
 }
 

@@ -9,10 +9,10 @@
 //!
 //! Request lines look like
 //! `{"id": 1, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f 1))"}`
-//! (optional fields: `mode` = `seq`/`par`/`par:K`, `budget`,
-//! `request_budget`, `deadline_ms`, and `session` — requests sharing a
-//! session id form an edit stream whose steps warm-start from the
-//! session's previous fixpoint). Control lines: `{"cmd": "stats"}`,
+//! (optional fields: `budget`, `request_budget`, `deadline_ms`, and
+//! `session` — requests sharing a session id form an edit stream whose
+//! steps warm-start from the session's previous fixpoint; unknown fields,
+//! such as the retired engine selector `mode`, are ignored). Control lines: `{"cmd": "stats"}`,
 //! `{"cmd": "health"}`, `{"cmd": "shutdown"}`. Responses correlate by `id`
 //! and may complete out of order.
 //!

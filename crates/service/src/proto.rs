@@ -8,10 +8,10 @@
 
 use crate::json::{self, Scalar};
 use cpsdfa_core::cache::AnalysisKind;
-use cpsdfa_core::SolverMode;
 
-/// A parsed analysis request.
-#[derive(Debug, Clone)]
+/// A parsed analysis request. Fields the daemon does not know — including
+/// the retired engine selector `"mode"` — are ignored.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
@@ -20,9 +20,6 @@ pub struct Request {
     /// The program source (the same s-expression syntax every front end in
     /// the workspace parses).
     pub program: String,
-    /// Engine selection (`"seq"`, `"par"` = the pool's worker count,
-    /// `"par:K"`).
-    pub mode: SolverMode,
     /// Per-rung goal budget.
     pub budget: u64,
     /// Whole-request cumulative charge cap, if the client set one.
@@ -48,12 +45,11 @@ pub struct BadRequest {
 
 impl Request {
     /// Parses one request line, filling unspecified knobs from the
-    /// defaults. `default_workers` resolves a bare `"mode": "par"`.
+    /// defaults.
     pub fn parse(
         line: &str,
         default_budget: u64,
         default_deadline_ms: Option<u64>,
-        default_workers: usize,
     ) -> Result<Request, BadRequest> {
         let fields = json::parse_object(line).map_err(|detail| BadRequest { id: None, detail })?;
         let id = json::field(&fields, "id")
@@ -82,18 +78,6 @@ impl Request {
             .and_then(Scalar::as_str)
             .ok_or_else(|| fail("missing \"program\"".to_owned()))?
             .to_owned();
-        let mode = match json::field(&fields, "mode").and_then(Scalar::as_str) {
-            None | Some("seq") => SolverMode::Seq,
-            Some("par") => SolverMode::Par(default_workers),
-            Some(m) => match m.strip_prefix("par:").and_then(|k| k.parse::<usize>().ok()) {
-                Some(k) if k > 0 => SolverMode::Par(k),
-                _ => {
-                    return Err(fail(format!(
-                        "bad mode {m:?} (expected seq, par, or par:K)"
-                    )))
-                }
-            },
-        };
         let budget = json::field(&fields, "budget")
             .and_then(Scalar::as_u64)
             .unwrap_or(default_budget);
@@ -106,7 +90,6 @@ impl Request {
             id,
             kind,
             program,
-            mode,
             budget,
             request_budget,
             deadline_ms,
@@ -299,16 +282,7 @@ impl Response {
 /// ladders use. Unknown names (future rungs) leak once — acceptable for a
 /// test/client utility, never called on the serving path.
 fn intern_rung(name: &str) -> &'static str {
-    for known in [
-        "cfa.src",
-        "cfa.src.seq",
-        "cfa.cps",
-        "cfa.cps.seq",
-        "cfa.pushdown",
-        "cfa.pushdown.seq",
-        "mfp.flat",
-        "mfp.flat.seq",
-    ] {
+    for known in ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat"] {
         if name == known {
             return known;
         }
@@ -323,16 +297,14 @@ mod tests {
     #[test]
     fn request_defaults_and_overrides() {
         let line = r#"{"id": 3, "analysis": "cfa.cps", "program": "(f 1)"}"#;
-        let req = Request::parse(line, 50_000, Some(100), 4).unwrap();
+        let req = Request::parse(line, 50_000, Some(100)).unwrap();
         assert_eq!(req.id, 3);
         assert_eq!(req.kind, AnalysisKind::CfaCps);
-        assert_eq!(req.mode, SolverMode::Seq);
         assert_eq!(req.budget, 50_000);
         assert_eq!(req.deadline_ms, Some(100));
-        let line = r#"{"id": 4, "analysis": "mfp.flat", "program": "1", "mode": "par:2",
+        let line = r#"{"id": 4, "analysis": "mfp.flat", "program": "1",
                        "budget": 9, "request_budget": 12, "deadline_ms": 5}"#;
-        let req = Request::parse(line, 50_000, None, 4).unwrap();
-        assert_eq!(req.mode, SolverMode::Par(2));
+        let req = Request::parse(line, 50_000, None).unwrap();
         assert_eq!(req.budget, 9);
         assert_eq!(req.request_budget, Some(12));
         assert_eq!(req.deadline_ms, Some(5));
@@ -340,13 +312,8 @@ mod tests {
 
     #[test]
     fn bad_requests_carry_the_id_when_recoverable() {
-        let err = Request::parse(
-            r#"{"id": 9, "analysis": "nope", "program": "x"}"#,
-            1,
-            None,
-            1,
-        )
-        .unwrap_err();
+        let err = Request::parse(r#"{"id": 9, "analysis": "nope", "program": "x"}"#, 1, None)
+            .unwrap_err();
         assert_eq!(err.id, Some(9));
         assert!(err.detail.contains("unknown analysis"));
         // The expected-kind list in the message is generated from
@@ -359,25 +326,36 @@ mod tests {
                 err.detail
             );
         }
-        let err = Request::parse("not json", 1, None, 1).unwrap_err();
+        let err = Request::parse("not json", 1, None).unwrap_err();
         assert_eq!(err.id, None);
     }
 
     #[test]
+    fn retired_mode_field_is_ignored() {
+        let plain = r#"{"id": 5, "analysis": "cfa.cps", "program": "(f 1)"}"#;
+        let want = Request::parse(plain, 50_000, None).unwrap();
+        for mode in ["par:2", "seq", "bogus"] {
+            let line = format!(
+                r#"{{"id": 5, "analysis": "cfa.cps", "program": "(f 1)", "mode": "{mode}"}}"#
+            );
+            assert_eq!(Request::parse(&line, 50_000, None).unwrap(), want, "{mode}");
+        }
+    }
+
+    #[test]
     fn pushdown_requests_parse() {
-        let line = r#"{"id": 11, "analysis": "cfa.pushdown", "program": "(f 1)", "mode": "par:2"}"#;
-        let req = Request::parse(line, 50_000, None, 4).unwrap();
+        let line = r#"{"id": 11, "analysis": "cfa.pushdown", "program": "(f 1)"}"#;
+        let req = Request::parse(line, 50_000, None).unwrap();
         assert_eq!(req.kind, AnalysisKind::CfaPushdown);
-        assert_eq!(req.mode, SolverMode::Par(2));
         // The answering rung names survive a response round trip.
-        for rung in ["cfa.pushdown", "cfa.pushdown.seq"] {
+        for rung in ["cfa.pushdown", "cfa.cps", "cfa.src"] {
             let resp = Response {
                 id: 11,
                 latency_us: 7,
                 status: Status::Ok {
                     cache: Served::Miss,
                     rung: intern_rung(rung),
-                    degraded: rung.ends_with(".seq"),
+                    degraded: rung != "cfa.pushdown",
                     answer_digest: 1,
                     iterations: 2,
                     charged: 3,

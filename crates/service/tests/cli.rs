@@ -136,3 +136,46 @@ fn persist_certify_and_ttl_flags_drive_a_crash_safe_daemon() {
     assert!(health.contains("\"recovered_entries\": 1"), "{health}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn oversized_shard_count_cannot_kill_the_daemon() {
+    use cpsdfa_service::proto::{Response, Status};
+    use std::io::Write;
+    // `mode` once chose a per-request shard count with one thread per
+    // shard; `par:16384` aborted the process. The field is now ignored.
+    let program = "(let (f (lambda (x) x)) (let (a (f 1)) (f a)))";
+    let input = format!(
+        "{{\"id\": 1, \"analysis\": \"cfa.cps\", \"program\": \"{program}\", \"mode\": \"par:16384\"}}\n\
+         {{\"id\": 2, \"analysis\": \"cfa.cps\", \"program\": \"{program}\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n"
+    );
+    let mut child = cpsdfad()
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cpsdfad");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("cpsdfad exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let digests: Vec<u64> = stdout
+        .lines()
+        .filter_map(|line| match Response::parse(line).ok()?.status {
+            Status::Ok { answer_digest, .. } => Some(answer_digest),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(digests.len(), 2, "two ok replies: {stdout}");
+    assert_eq!(digests[0], digests[1], "{stdout}");
+}
