@@ -749,6 +749,9 @@ pub struct FixpointCache {
     ancestors: FxHashMap<u64, SessionSlot>,
     /// Deadline-clock TTL for ancestors; `None` disables expiry.
     session_ttl: Option<Duration>,
+    /// Sessions evicted (TTL or count cap) whose journals the owner has not
+    /// yet removed ([`FixpointCache::take_reaped_sessions`]).
+    reaped: Vec<u64>,
     ceiling_bytes: u64,
     bytes: u64,
     tick: u64,
@@ -774,6 +777,7 @@ impl FixpointCache {
             entries: FxHashMap::default(),
             ancestors: FxHashMap::default(),
             session_ttl: None,
+            reaped: Vec::new(),
             ceiling_bytes,
             bytes: 0,
             tick: 0,
@@ -815,7 +819,10 @@ impl FixpointCache {
     }
 
     /// Looks `key` up, counting a hit or miss and refreshing LRU order.
+    /// Also reaps expired sessions, so an abandoned session expires on any
+    /// request traffic, not only on other sessions'.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<Arc<CachedFixpoint>> {
+        self.purge_expired_sessions();
         self.tick += 1;
         match self.entries.get_mut(key) {
             Some(entry) => {
@@ -899,24 +906,32 @@ impl FixpointCache {
     }
 
     /// Evicts every ancestor whose deadline has passed, counting each in
-    /// `session.ttl_evict`. Called on the session-table paths, so expiry
-    /// needs no background thread — an abandoned session is reaped the
-    /// next time *any* session traffic consults the table.
+    /// `session.ttl_evict` and queueing it for journal removal. Called on
+    /// the probe and session-table paths, so expiry needs no background
+    /// thread — an abandoned session is reaped the next time any request
+    /// consults the cache.
     fn purge_expired_sessions(&mut self) {
         if self.session_ttl.is_none() {
             return;
         }
         let now = Instant::now();
         let before = self.ancestors.len();
-        self.ancestors
-            .retain(|_, slot| slot.deadline.is_none_or(|d| d > now));
+        let reaped = &mut self.reaped;
+        self.ancestors.retain(|&session, slot| {
+            let live = slot.deadline.is_none_or(|d| d > now);
+            if !live {
+                reaped.push(session);
+            }
+            live
+        });
         self.stats.session_ttl_evictions += (before - self.ancestors.len()) as u64;
     }
 
     /// Records `session`'s latest fixpoint, replacing any predecessor.
     /// Beyond [`MAX_ANCESTORS`] sessions, the least-recently-touched
     /// session is forgotten (its *content-addressed* entries survive —
-    /// only the warm-start shortcut is lost).
+    /// only the warm-start shortcut is lost) and queued for journal
+    /// removal.
     pub fn note_ancestor(&mut self, session: u64, ancestor: Ancestor) {
         self.purge_expired_sessions();
         self.tick += 1;
@@ -933,9 +948,19 @@ impl FixpointCache {
                 .map(|(s, _)| *s)
             {
                 self.ancestors.remove(&victim);
+                self.reaped.push(victim);
             }
         }
         self.ancestors.insert(session, slot);
+    }
+
+    /// Drains the sessions evicted by TTL or the count cap since the last
+    /// call, leaving out any noted again since: the owner deletes their
+    /// journals, so a restart does not bring an evicted session back.
+    pub fn take_reaped_sessions(&mut self) -> Vec<u64> {
+        let mut reaped = std::mem::take(&mut self.reaped);
+        reaped.retain(|session| !self.ancestors.contains_key(session));
+        reaped
     }
 
     /// The latest fixpoint noted for `session`, refreshing its recency and
@@ -1241,6 +1266,31 @@ mod tests {
         assert!(cache.ancestor(2).is_some());
         std::thread::sleep(std::time::Duration::from_millis(12));
         assert!(cache.ancestor(2).is_some(), "refreshed deadline holds");
+    }
+
+    #[test]
+    fn evicted_sessions_are_queued_for_journal_removal() {
+        let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
+        let fresh = zero_cfa(&p).unwrap();
+        let mut cache = FixpointCache::new(u64::MAX);
+        // Count cap: one session past the cap evicts the oldest.
+        for session in 0..=MAX_ANCESTORS as u64 {
+            cache.note_ancestor(session, dummy_ancestor(&fresh));
+        }
+        assert_eq!(cache.take_reaped_sessions(), vec![0]);
+        assert!(cache.take_reaped_sessions().is_empty(), "drained once");
+        // TTL: an expired session is reaped by the next probe, and one noted
+        // again before the drain keeps its journal.
+        let mut cache = FixpointCache::new(u64::MAX);
+        cache.set_session_ttl(Some(std::time::Duration::from_millis(10)));
+        cache.note_ancestor(1, dummy_ancestor(&fresh));
+        cache.note_ancestor(2, dummy_ancestor(&fresh));
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        assert!(cache
+            .lookup(&CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, 0))
+            .is_none());
+        cache.note_ancestor(2, dummy_ancestor(&fresh));
+        assert_eq!(cache.take_reaped_sessions(), vec![1]);
     }
 
     #[test]

@@ -24,19 +24,29 @@
 //!   the least model does not contain;
 //! * wrong table dimensions refute as [`Refutation::Shape`].
 //!
-//! The least model is computed semi-naively ([`Flows`]): flow nodes get
-//! dense ids (a variable's index; a source term's `num_vars + label`), each
-//! `(node, value)` fact enters the worklist once, when first derived, and is
-//! pushed along its node's out-edges once, when popped. A call-discovered
-//! edge (argument → parameter, body → result, returned operand → binder) is
-//! added once, when its λ or continuation first reaches the call or return,
-//! and the source's current set is pushed across it on the spot. The work is
-//! one set insertion per fact per out-edge — the same order as the solvers'
-//! delta evaluation — instead of one re-application of every edge per
-//! Kleene round. MFP runs the same way over CFG nodes: a node is re-visited
-//! only when a predecessor's output grew. The checker reads the claim in
-//! place (borrowed views over either the analyzer result or the cache
-//! mirror), so certifying a cached answer copies no flow set.
+//! **Representation.** Each checker numbers the program's flow values once,
+//! in their `Ord` order ([`Values`]): `inc`, `dec`, every λ by label, and —
+//! for the CPS-shaped checkers — `stop` and every continuation by label. A
+//! flow set is a row of `u64` words ([`Rows`]); a `calls` or `returns`
+//! table is one row per call or return site of the program ([`Sites`]).
+//! The claim is converted to rows once, and a value or table key that
+//! names nothing in the program refutes there. Because bits follow value
+//! order, the lowest bit of `claim & !other` is the first element a
+//! set-difference scan would name, so refutations name the same facts a
+//! `BTreeSet` checker would.
+//!
+//! The closure scan is one `src & !dst` per re-derived edge. The least
+//! model is computed semi-naively ([`Flows`]): flow nodes get dense ids (a
+//! variable's index; a source term's `num_vars + label`), each
+//! `(node, value)` fact is queued once — as a bit of its node's delta row —
+//! and pushed along each of its node's out-edges once, when the node is
+//! popped. A call-discovered edge (argument → parameter, body → result,
+//! returned operand → binder) is added once, when its λ or continuation
+//! first reaches the call or return, and the source's current row is pushed
+//! across it on the spot. Least-model equality is `claim & !lfp == 0` per
+//! row; closure already guarantees the other inclusion. MFP runs a FIFO
+//! worklist over CFG nodes: a node is re-visited only when a predecessor's
+//! output grew.
 //!
 //! Work counters (`iterations`, `summaries`) are *not* certified — they are
 //! schedule-dependent cost measures, excluded from answer digests for the
@@ -60,12 +70,13 @@
 //! (nothing short of a second front end could); a bug anywhere downstream —
 //! solver scheduling, warm-start seeding, cache storage, disk
 //! corruption that slips past checksums — produces an answer that fails
-//! this check. The worklist here is the checker's own (plain `BTreeSet`s, a
-//! `Vec` stack, dense label tables); it shares no engine, set pool or delta
-//! log with the solvers, and the unit tests pin it to a naive Kleene oracle
-//! table for table. The daemon's `--certify` mode samples served answers
-//! through [`certify_answer`] and evicts + recomputes on refutation instead
-//! of serving the bad fixpoint (DESIGN.md §13).
+//! this check. The worklist here is the checker's own (its own `u64` rows,
+//! a `Vec` stack, dense label tables); it shares no engine, set pool,
+//! bitset kernel or delta log with the solvers, and the unit tests pin it
+//! to a naive `BTreeSet` Kleene oracle table for table. The daemon's
+//! `--certify` mode samples served answers through [`certify_answer`] and
+//! evicts + recomputes on refutation instead of serving the bad fixpoint
+//! (DESIGN.md §13).
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::cache::{AnalysisKind, CachedAnswer, SendCfa, SendPushdown};
@@ -78,8 +89,7 @@ use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
-use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -146,51 +156,405 @@ impl fmt::Display for Refutation {
 }
 
 // ---------------------------------------------------------------------------
+// Bit rows
+// ---------------------------------------------------------------------------
+
+/// A program's flow values, numbered once in their `Ord` order: `inc`,
+/// `dec`, the λs by label, then — for the CPS-shaped checkers — `stop` and
+/// the continuations by label. Bit `b` of a [`Rows`] row stands for one
+/// value, so ascending bits enumerate a set in `BTreeSet` order, and a
+/// closure has the same bit whether it is a source `AbsClo` or a CPS
+/// `CpsFlow::Clo`.
+struct Values {
+    lams: Vec<Label>,
+    conts: Vec<Label>,
+    /// λ label → index into `lams`.
+    lam_ix: LabelLookup<u32>,
+    /// Continuation label → index into `conts`.
+    cont_ix: LabelLookup<u32>,
+    len: usize,
+}
+
+impl Values {
+    /// Numbers `lams` (and, for a CPS-shaped checker, `stop` plus `conts`).
+    fn new(label_count: u32, lams: Vec<Label>, conts: Option<Vec<Label>>) -> Values {
+        let index = |mut ls: Vec<Label>| {
+            ls.sort_unstable();
+            let ix = LabelLookup::build(
+                label_count,
+                ls.iter().enumerate().map(|(i, &l)| (l, i as u32)),
+            );
+            (ls, ix)
+        };
+        let len = 2 + lams.len() + conts.as_ref().map_or(0, |c| 1 + c.len());
+        let (lams, lam_ix) = index(lams);
+        let (conts, cont_ix) = index(conts.unwrap_or_default());
+        Values {
+            lams,
+            conts,
+            lam_ix,
+            cont_ix,
+            len,
+        }
+    }
+
+    /// The number of values (bits per row).
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The bit of `stop`; every continuation bit is at or above it.
+    fn stop(&self) -> usize {
+        2 + self.lams.len()
+    }
+
+    fn is_kont(&self, b: usize) -> bool {
+        b >= self.stop()
+    }
+
+    fn clo_bit(&self, c: AbsClo) -> Option<usize> {
+        match c {
+            AbsClo::Inc => Some(0),
+            AbsClo::Dec => Some(1),
+            AbsClo::Lam(l) => self.lam_ix.get(l).map(|i| 2 + i as usize),
+        }
+    }
+
+    fn kont_bit(&self, k: AbsKont) -> Option<usize> {
+        match k {
+            AbsKont::Stop => Some(self.stop()),
+            AbsKont::Co(l) => self.cont_ix.get(l).map(|j| self.stop() + 1 + j as usize),
+        }
+    }
+
+    /// The bit of a claimed value; `None` when it names nothing in the
+    /// program.
+    fn flow_bit(&self, f: CpsFlow) -> Option<usize> {
+        match f {
+            CpsFlow::Clo(c) => self.clo_bit(c),
+            CpsFlow::Kont(k) => self.kont_bit(k),
+        }
+    }
+
+    /// The bit of a value the program itself produces.
+    fn bit(&self, f: CpsFlow) -> usize {
+        self.flow_bit(f)
+            .expect("a value the program produces is numbered")
+    }
+
+    /// The bit of continuation `co@l`.
+    fn co(&self, l: Label) -> usize {
+        self.bit(CpsFlow::Kont(AbsKont::Co(l)))
+    }
+
+    /// The λ label of closure bit `b`, if it is a user λ.
+    fn lam(&self, b: usize) -> Option<Label> {
+        self.lams.get(b.checked_sub(2)?).copied()
+    }
+
+    /// The closure bit `b` stands for.
+    fn clo(&self, b: usize) -> AbsClo {
+        match b {
+            0 => AbsClo::Inc,
+            1 => AbsClo::Dec,
+            _ => AbsClo::Lam(self.lams[b - 2]),
+        }
+    }
+
+    /// The continuation bit `b` stands for.
+    fn kont(&self, b: usize) -> AbsKont {
+        match b - self.stop() {
+            0 => AbsKont::Stop,
+            j => AbsKont::Co(self.conts[j - 1]),
+        }
+    }
+
+    /// The CPS flow value bit `b` stands for.
+    fn flow(&self, b: usize) -> CpsFlow {
+        if self.is_kont(b) {
+            CpsFlow::Kont(self.kont(b))
+        } else {
+            CpsFlow::Clo(self.clo(b))
+        }
+    }
+}
+
+/// Dense bit rows over a [`Values`] numbering, `width` words each: the
+/// checker's flow sets and table entries.
+struct Rows {
+    width: usize,
+    bits: Vec<u64>,
+}
+
+impl Rows {
+    fn new(rows: usize, values: usize) -> Rows {
+        let width = values.div_ceil(64).max(1);
+        Rows {
+            width,
+            bits: vec![0; rows * width],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.bits.len() / self.width
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.width..(i + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.width..(i + 1) * self.width]
+    }
+
+    fn has(&self, i: usize, b: usize) -> bool {
+        self.bits[i * self.width + b / 64] >> (b % 64) & 1 == 1
+    }
+
+    /// Sets bit `b` of row `i`; true if it was clear.
+    fn set(&mut self, i: usize, b: usize) -> bool {
+        let word = &mut self.bits[i * self.width + b / 64];
+        let mask = 1u64 << (b % 64);
+        let fresh = *word & mask == 0;
+        *word |= mask;
+        fresh
+    }
+
+    /// Total set bits: the facts the rows hold.
+    fn count(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Rows with at least one bit set.
+    fn occupied(&self) -> usize {
+        self.bits
+            .chunks(self.width)
+            .filter(|r| !is_empty(r))
+            .count()
+    }
+}
+
+fn is_empty(row: &[u64]) -> bool {
+    row.iter().all(|&w| w == 0)
+}
+
+/// The lowest bit of `a & !b`: the first value of `a` missing from `b`.
+fn first_excess(a: &[u64], b: &[u64]) -> Option<usize> {
+    a.iter().zip(b).enumerate().find_map(|(i, (&x, &y))| {
+        let d = x & !y;
+        (d != 0).then(|| i * 64 + d.trailing_zeros() as usize)
+    })
+}
+
+/// The set bits of `row`, ascending.
+fn bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(i, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros() as usize;
+                w &= w - 1;
+                i * 64 + b
+            })
+        })
+    })
+}
+
+/// The keys a `calls` or `returns` table may have — the program's call or
+/// return sites — in label order; each site's slot is its table row.
+struct Sites {
+    labels: Vec<Label>,
+    slot: LabelLookup<u32>,
+}
+
+impl Sites {
+    fn new(label_count: u32, mut labels: Vec<Label>) -> Sites {
+        labels.sort_unstable();
+        labels.dedup();
+        let slot = LabelLookup::build(
+            label_count,
+            labels.iter().enumerate().map(|(i, &l)| (l, i as u32)),
+        );
+        Sites { labels, slot }
+    }
+
+    fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// The slot of `l`, or `None` when `l` is not one of the sites.
+    fn slot(&self, l: Label) -> Option<usize> {
+        self.slot.get(l).map(|s| s as usize)
+    }
+
+    /// The slot of a site the program itself has.
+    fn at(&self, l: Label) -> usize {
+        self.slot(l).expect("a site of the program")
+    }
+}
+
+/// A claimed `calls`/`returns` table: one row per site, and which sites
+/// the claim has an entry for (a claimed entry may be empty; a least-model
+/// entry exists exactly when its row is non-empty).
+struct Table {
+    rows: Rows,
+    present: Vec<bool>,
+}
+
+impl Table {
+    fn entries(&self) -> usize {
+        self.present.iter().filter(|&&p| p).count()
+    }
+}
+
+/// A claimed closure or continuation whose label names no λ or
+/// continuation of the program: no derivation can produce it, and the
+/// closure scan cannot follow it.
+fn foreign(value: impl fmt::Debug) -> Refutation {
+    Refutation::Unsupported {
+        fact: format!("{value:?} names nothing in the program"),
+    }
+}
+
+/// Overwrites row `i` with a claimed set, so a repeated key keeps its last
+/// entry.
+fn fill<T: Copy + fmt::Debug>(
+    rows: &mut Rows,
+    i: usize,
+    set: &BTreeSet<T>,
+    bit: impl Fn(T) -> Option<usize>,
+) -> Result<(), Refutation> {
+    rows.row_mut(i).fill(0);
+    for &v in set {
+        rows.set(i, bit(v).ok_or_else(|| foreign(v))?);
+    }
+    Ok(())
+}
+
+/// Converts a claimed `name` table, looking each key up among `sites`: a
+/// key that is no site of the program refutes instead of sizing anything.
+fn claim_table<T: Copy + fmt::Debug>(
+    name: &str,
+    entries: &[(Label, &BTreeSet<T>)],
+    sites: &Sites,
+    values: usize,
+    bit: impl Fn(T) -> Option<usize>,
+) -> Result<Table, Refutation> {
+    let mut table = Table {
+        rows: Rows::new(sites.len(), values),
+        present: vec![false; sites.len()],
+    };
+    for &(l, set) in entries {
+        let i = sites.slot(l).ok_or_else(|| Refutation::Shape {
+            detail: format!("{name} table keyed on {l}, which is no site of the program"),
+        })?;
+        fill(&mut table.rows, i, set, &bit)?;
+        table.present[i] = true;
+    }
+    Ok(table)
+}
+
+/// The first claimed `name` entry, in label order, that the least model
+/// lacks: an extra value, or an empty entry (the analyzers store none).
+fn table_excess(
+    name: &str,
+    sites: &Sites,
+    claim: &Table,
+    lfp: &Rows,
+    show: impl Fn(usize) -> String,
+) -> Option<Refutation> {
+    for (i, &l) in sites.labels.iter().enumerate() {
+        if !claim.present[i] {
+            continue;
+        }
+        let c = claim.rows.row(i);
+        if let Some(b) = first_excess(c, lfp.row(i)) {
+            return Some(Refutation::Unsupported {
+                fact: format!("{} ∈ {name}[{l}]", show(b)),
+            });
+        }
+        if is_empty(c) {
+            return Some(Refutation::Unsupported {
+                fact: format!("empty {name}[{l}] entry"),
+            });
+        }
+    }
+    None
+}
+
+// ---------------------------------------------------------------------------
 // The checker's worklist
 // ---------------------------------------------------------------------------
 
 /// The checker's semi-naive propagation engine over dense flow nodes.
 ///
-/// Each `(node, value)` fact enters the worklist exactly once, when
-/// [`Flows::add`] first inserts it, and is pushed along every out-edge of
-/// its node exactly once, when [`Flows::next`] pops it. An edge added after
-/// its source already holds values carries the current set across at once,
-/// so a late call-discovered edge misses nothing.
-struct Flows<V> {
-    sets: Vec<BTreeSet<V>>,
+/// A fact derived at a node sets its bit in the node's row and in the
+/// node's delta row, and queues the node if it is not queued; so each
+/// `(node, value)` fact is queued exactly once. [`Flows::next`] pops a
+/// node and pushes its delta along every out-edge, so each fact crosses
+/// each edge once. An edge added after its source already holds values
+/// carries the source's current row across at once, so a late
+/// call-discovered edge misses nothing.
+struct Flows {
+    sets: Rows,
+    delta: Rows,
     succ: Vec<Vec<u32>>,
     /// Call-discovered edges already added ([`Flows::link`]).
     linked: FxHashSet<(u32, u32)>,
-    work: Vec<(u32, V)>,
+    queued: Vec<bool>,
+    work: Vec<u32>,
 }
 
-impl<V: Copy + Ord> Flows<V> {
-    fn new(nodes: usize) -> Self {
+impl Flows {
+    fn new(nodes: usize, values: usize) -> Self {
         Flows {
-            sets: (0..nodes).map(|_| BTreeSet::new()).collect(),
+            sets: Rows::new(nodes, values),
+            delta: Rows::new(nodes, values),
             succ: vec![Vec::new(); nodes],
             linked: FxHashSet::default(),
+            queued: vec![false; nodes],
             work: Vec::new(),
         }
     }
 
-    /// Derives `v ∈ n`, queueing the fact if it is new.
-    fn add(&mut self, n: usize, v: V) {
-        if self.sets[n].insert(v) {
-            self.work.push((n as u32, v));
+    fn enqueue(&mut self, n: usize) {
+        if !self.queued[n] {
+            self.queued[n] = true;
+            self.work.push(n as u32);
         }
     }
 
-    /// Adds the edge `src ⊆ dst` and pushes `src`'s current set across it.
+    /// Derives fact `b ∈ n`, queueing it if it is new.
+    fn add(&mut self, n: usize, b: usize) {
+        if self.sets.set(n, b) {
+            self.delta.set(n, b);
+            self.enqueue(n);
+        }
+    }
+
+    /// Derives at `dst` every bit of `src`'s row — or, when `pending`, of
+    /// its delta row — that `dst` lacks.
+    fn push(&mut self, src: usize, dst: usize, pending: bool) {
+        let w = self.sets.width;
+        let mut grew = false;
+        for i in 0..w {
+            let from = if pending { &self.delta } else { &self.sets };
+            let new = from.bits[src * w + i] & !self.sets.bits[dst * w + i];
+            if new != 0 {
+                self.sets.bits[dst * w + i] |= new;
+                self.delta.bits[dst * w + i] |= new;
+                grew = true;
+            }
+        }
+        if grew {
+            self.enqueue(dst);
+        }
+    }
+
+    /// Adds the edge `src ⊆ dst` and pushes `src`'s current row across it.
     fn edge(&mut self, src: usize, dst: usize) {
         self.succ[src].push(dst as u32);
-        if src != dst && !self.sets[src].is_empty() {
-            let cur = std::mem::take(&mut self.sets[src]);
-            for &v in &cur {
-                self.add(dst, v);
-            }
-            self.sets[src] = cur;
-        }
+        self.push(src, dst, false);
     }
 
     /// [`Flows::edge`] for a call-discovered edge: added at most once, however
@@ -201,16 +565,29 @@ impl<V: Copy + Ord> Flows<V> {
         }
     }
 
-    /// Pops one fact and pushes it along its node's out-edges; the caller
-    /// then fires whatever the fact triggers at that node.
-    fn next(&mut self) -> Option<(usize, V)> {
-        let (n, v) = self.work.pop()?;
-        let n = n as usize;
+    /// Pops a node and pushes its pending facts along its out-edges, then
+    /// moves them into `delta`: the caller fires whatever those facts
+    /// trigger at the node.
+    fn next(&mut self, delta: &mut Vec<u64>) -> Option<usize> {
+        let n = self.work.pop()? as usize;
+        self.queued[n] = false;
         for i in 0..self.succ[n].len() {
-            let dst = self.succ[n][i] as usize;
-            self.add(dst, v);
+            self.push(n, self.succ[n][i] as usize, true);
         }
-        Some((n, v))
+        delta.clear();
+        delta.extend_from_slice(self.delta.row(n));
+        self.delta.row_mut(n).fill(0);
+        Some(n)
+    }
+
+    /// Flows a CPS operand into `dst`: a constant is derived there, a
+    /// variable is linked to it.
+    fn flow(&mut self, vals: &Values, op: Op, dst: CVarId) {
+        match op {
+            Op::None => {}
+            Op::Const(c) => self.add(dst.index(), vals.bit(c)),
+            Op::Var(v) => self.link(v.index(), dst.index()),
+        }
     }
 }
 
@@ -223,21 +600,12 @@ enum Hook {
     Ret(usize),
 }
 
-/// A claimed closure or continuation whose label names no λ or
-/// continuation of the program: no derivation can produce it, and the
-/// closure scan cannot follow it.
-fn foreign(value: impl fmt::Debug) -> Refutation {
-    Refutation::Unsupported {
-        fact: format!("{value:?} names nothing in the program"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Source-level 0CFA
 // ---------------------------------------------------------------------------
 
 /// A flow node of the re-derived source constraint graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum SNode {
     Var(VarId),
     Term(Label),
@@ -262,34 +630,47 @@ impl fmt::Display for SNode {
     }
 }
 
-/// The source constraint system, re-derived by an independent AST walk.
+/// The source constraint system, re-derived by an independent AST walk,
+/// with the program's value numbering and table keys.
 struct SrcSystem {
-    seeds: Vec<(BTreeSet<AbsClo>, SNode)>,
+    seeds: Vec<(AbsClo, SNode)>,
     subs: Vec<(SNode, SNode)>,
     /// `(f node, arg node, bind var, site)`.
     calls: Vec<(SNode, SNode, VarId, Label)>,
-    /// Labels that are propagation targets — exactly the key set the
-    /// analyzer's `terms` table must have.
-    dst_terms: BTreeSet<Label>,
     /// `λ label → (param, body label)`.
     lam: LabelLookup<(VarId, Label)>,
+    vals: Values,
+    /// Labels that are propagation targets — exactly the key set the
+    /// analyzer's `terms` table must have.
+    terms: Sites,
+    /// The call sites: the keys the `calls` table may have.
+    sites: Sites,
+    num_vars: usize,
+    /// Flow nodes: every variable, then every label.
+    nodes: usize,
 }
 
 impl SrcSystem {
     fn derive(prog: &AnfProgram) -> SrcSystem {
+        let lc = prog.label_count();
+        let lams = prog.lambdas();
         let mut sys = SrcSystem {
             seeds: Vec::new(),
             subs: Vec::new(),
             calls: Vec::new(),
-            dst_terms: BTreeSet::new(),
             lam: LabelLookup::build(
-                prog.label_count(),
-                prog.lambdas()
-                    .into_iter()
-                    .map(|(l, r)| (l, (r.param_id, r.body.label))),
+                lc,
+                lams.iter().map(|(&l, r)| (l, (r.param_id, r.body.label))),
             ),
+            vals: Values::new(lc, lams.keys().copied().collect(), None),
+            terms: Sites::new(lc, Vec::new()),
+            sites: Sites::new(lc, Vec::new()),
+            num_vars: prog.num_vars(),
+            nodes: prog.num_vars() + lc as usize,
         };
         sys.walk(prog.root(), prog);
+        sys.terms = Sites::new(lc, std::mem::take(&mut sys.terms.labels));
+        sys.sites = Sites::new(lc, sys.calls.iter().map(|c| c.3).collect());
         sys
     }
 
@@ -297,9 +678,15 @@ impl SrcSystem {
         self.seeds.len() + self.subs.len() + self.calls.len()
     }
 
+    fn id(&self, n: SNode) -> usize {
+        n.id(self.num_vars)
+    }
+
+    /// Marks `n` a propagation target (collected during the walk, indexed
+    /// once it ends).
     fn dst(&mut self, n: SNode) {
         if let SNode::Term(l) = n {
-            self.dst_terms.insert(l);
+            self.terms.labels.push(l);
         }
     }
 
@@ -307,27 +694,20 @@ impl SrcSystem {
     /// constant sets — numbers — generate nothing, so the target is not
     /// marked), variables subset-edge.
     fn val(&mut self, v: &cpsdfa_anf::AVal, dst: SNode, prog: &AnfProgram) {
-        match &v.kind {
-            AValKind::Num(_) => {}
-            AValKind::Add1 => {
-                self.dst(dst);
-                self.seeds.push((BTreeSet::from([AbsClo::Inc]), dst));
-            }
-            AValKind::Sub1 => {
-                self.dst(dst);
-                self.seeds.push((BTreeSet::from([AbsClo::Dec]), dst));
-            }
-            AValKind::Lam(..) => {
-                self.dst(dst);
-                self.seeds
-                    .push((BTreeSet::from([AbsClo::Lam(v.label)]), dst));
-            }
+        let seed = match &v.kind {
+            AValKind::Num(_) => return,
+            AValKind::Add1 => AbsClo::Inc,
+            AValKind::Sub1 => AbsClo::Dec,
+            AValKind::Lam(..) => AbsClo::Lam(v.label),
             AValKind::Var(x) => {
                 self.dst(dst);
                 let y = prog.var_id(x).expect("indexed variable");
                 self.subs.push((SNode::Var(y), dst));
+                return;
             }
-        }
+        };
+        self.dst(dst);
+        self.seeds.push((seed, dst));
     }
 
     fn walk(&mut self, m: &Anf, prog: &AnfProgram) {
@@ -377,17 +757,17 @@ impl SrcSystem {
     }
 }
 
-/// A borrowed view of a claimed source answer, whichever container it
+/// A claimed source answer's tables, borrowed from whichever container it
 /// arrived in (an analyzer result or a cache mirror).
-struct SrcClaim<'a> {
+struct SrcRaw<'a> {
     vars: Vec<&'a BTreeSet<AbsClo>>,
-    terms: LabelTable<&'a BTreeSet<AbsClo>>,
-    calls: LabelTable<&'a BTreeSet<AbsClo>>,
+    terms: Vec<(Label, &'a BTreeSet<AbsClo>)>,
+    calls: Vec<(Label, &'a BTreeSet<AbsClo>)>,
 }
 
-impl<'a> SrcClaim<'a> {
+impl<'a> SrcRaw<'a> {
     fn of_result(r: &'a CfaResult) -> Self {
-        SrcClaim {
+        SrcRaw {
             vars: r.vars.iter().map(|s| &**s).collect(),
             terms: r.terms.iter().map(|(l, s)| (l, &**s)).collect(),
             calls: r.calls.iter().collect(),
@@ -395,61 +775,86 @@ impl<'a> SrcClaim<'a> {
     }
 
     fn of_send(s: &'a SendCfa) -> Self {
-        SrcClaim {
+        SrcRaw {
             vars: s.vars.iter().collect(),
             terms: s.terms.iter().map(|(l, s)| (*l, s)).collect(),
             calls: s.calls.iter().map(|(l, s)| (*l, s)).collect(),
         }
     }
+}
 
-    fn get(&self, n: SNode) -> &'a BTreeSet<AbsClo> {
-        match n {
-            SNode::Var(v) => self.vars.get(v.index()).copied(),
-            SNode::Term(l) => self.terms.get(l).copied(),
+/// A claimed source answer as rows: one per flow node (variables, then
+/// term labels; unclaimed terms stay empty) plus the call table.
+struct SrcClaim {
+    nodes: Rows,
+    calls: Table,
+}
+
+impl SrcClaim {
+    fn convert(sys: &SrcSystem, raw: &SrcRaw<'_>) -> Result<SrcClaim, Refutation> {
+        let mut seen = vec![false; sys.terms.len()];
+        let keyed = raw.terms.iter().all(|&(l, _)| {
+            let slot = sys.terms.slot(l);
+            slot.map(|i| seen[i] = true).is_some()
+        });
+        if !keyed || seen.contains(&false) {
+            let claimed: BTreeSet<Label> = raw.terms.iter().map(|&(l, _)| l).collect();
+            let targets: BTreeSet<Label> = sys.terms.labels.iter().copied().collect();
+            return Err(Refutation::Shape {
+                detail: format!(
+                    "terms table keyed on {claimed:?}, propagation targets are {targets:?}"
+                ),
+            });
         }
-        .unwrap_or(&EMPTY_CLO)
+        let bit = |c| sys.vals.clo_bit(c);
+        let mut nodes = Rows::new(sys.nodes, sys.vals.len());
+        for (i, set) in raw.vars.iter().enumerate() {
+            fill(&mut nodes, i, set, bit)?;
+        }
+        for &(l, set) in &raw.terms {
+            fill(&mut nodes, sys.id(SNode::Term(l)), set, bit)?;
+        }
+        let calls = claim_table("calls", &raw.calls, &sys.sites, sys.vals.len(), bit)?;
+        Ok(SrcClaim { nodes, calls })
     }
 }
 
-/// The recomputed source least model: one set per dense node
-/// ([`SNode::id`]) plus the call table (non-empty entries only).
-#[cfg_attr(test, derive(Debug, PartialEq))]
+/// The recomputed source least model: one row per flow node
+/// ([`SNode::id`]) and one per call site.
 struct SrcModel {
-    nodes: Vec<BTreeSet<AbsClo>>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
+    nodes: Rows,
+    calls: Rows,
 }
-
-static EMPTY_CLO: BTreeSet<AbsClo> = BTreeSet::new();
 
 /// Least model of the re-derived source system, semi-naively: static edges
 /// and seeds go in first; each closure that reaches a call's operator node
 /// records the call edge and links argument → parameter and body → result
 /// once, for that (call, λ) pair.
-fn src_least_model(sys: &SrcSystem, num_vars: usize, label_count: u32) -> SrcModel {
-    let id = |n: SNode| n.id(num_vars);
-    let mut fl = Flows::new(num_vars + label_count as usize);
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(label_count);
-    let mut hooks: Vec<Vec<Hook>> = vec![Vec::new(); fl.sets.len()];
+fn src_least_model(sys: &SrcSystem) -> SrcModel {
+    let mut fl = Flows::new(sys.nodes, sys.vals.len());
+    let mut calls = Rows::new(sys.sites.len(), sys.vals.len());
+    let mut hooks: Vec<Vec<Hook>> = vec![Vec::new(); sys.nodes];
     for (i, &(f, ..)) in sys.calls.iter().enumerate() {
-        hooks[id(f)].push(Hook::Call(i));
+        hooks[sys.id(f)].push(Hook::Call(i));
     }
     for &(src, dst) in &sys.subs {
-        fl.edge(id(src), id(dst));
+        fl.edge(sys.id(src), sys.id(dst));
     }
-    for (set, dst) in &sys.seeds {
-        for &v in set {
-            fl.add(id(*dst), v);
-        }
+    for &(v, dst) in &sys.seeds {
+        fl.add(sys.id(dst), sys.vals.bit(CpsFlow::Clo(v)));
     }
-    while let Some((n, clo)) = fl.next() {
+    let mut delta = Vec::new();
+    while let Some(n) = fl.next(&mut delta) {
         for &hook in &hooks[n] {
             let Hook::Call(i) = hook else { continue };
             let (_, arg, bind, site) = sys.calls[i];
-            calls.entry_or_default(site).insert(clo);
-            if let AbsClo::Lam(l) = clo {
+            for (w, &d) in calls.row_mut(sys.sites.at(site)).iter_mut().zip(&delta) {
+                *w |= d;
+            }
+            for l in bits(&delta).filter_map(|b| sys.vals.lam(b)) {
                 let (param, body) = sys.lam.expect(l);
-                fl.link(id(arg), param.index());
-                fl.link(id(SNode::Term(body)), bind.index());
+                fl.link(sys.id(arg), param.index());
+                fl.link(sys.id(SNode::Term(body)), bind.index());
             }
         }
     }
@@ -462,9 +867,11 @@ fn src_least_model(sys: &SrcSystem, num_vars: usize, label_count: u32) -> SrcMod
 /// One O(edges) closure scan of the claim: returns the first violated
 /// constraint as an [`Refutation::Unclosed`] counterexample, or `None` when
 /// the claim is closed.
-fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcClaim<'_>) -> Option<Refutation> {
-    for (set, dst) in &sys.seeds {
-        if let Some(v) = set.iter().find(|v| !claim.get(*dst).contains(v)) {
+fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcClaim) -> Option<Refutation> {
+    let (vals, rows) = (&sys.vals, &claim.nodes);
+    let row = |n: SNode| rows.row(sys.id(n));
+    for &(v, dst) in &sys.seeds {
+        if !rows.has(sys.id(dst), vals.bit(CpsFlow::Clo(v))) {
             return Some(Refutation::Unclosed {
                 edge: format!("seed ⊆ {dst}"),
                 missing: format!("{v:?} ∈ {dst}"),
@@ -472,45 +879,35 @@ fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcClaim<'_>) -> Option<R
         }
     }
     for &(src, dst) in &sys.subs {
-        if let Some(v) = claim.get(src).iter().find(|v| !claim.get(dst).contains(v)) {
+        if let Some(b) = first_excess(row(src), row(dst)) {
             return Some(Refutation::Unclosed {
                 edge: format!("{src} ⊆ {dst}"),
-                missing: format!("{v:?} ∈ {dst}"),
+                missing: format!("{:?} ∈ {dst}", vals.clo(b)),
             });
         }
     }
     for &(f, arg, bind, site) in &sys.calls {
-        for clo in claim.get(f) {
-            if !claim.calls.get(site).is_some_and(|s| s.contains(clo)) {
+        let slot = sys.sites.at(site);
+        for b in bits(row(f)) {
+            if !claim.calls.rows.has(slot, b) {
                 return Some(Refutation::Unclosed {
                     edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
+                    missing: format!("{:?} ∈ calls[{site}]", vals.clo(b)),
                 });
             }
-            if let AbsClo::Lam(l) = clo {
-                let Some((param, body)) = sys.lam.get(*l) else {
-                    return Some(foreign(clo));
-                };
-                if let Some(v) = claim
-                    .get(arg)
-                    .iter()
-                    .find(|v| !claim.get(SNode::Var(param)).contains(v))
-                {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                        missing: format!("{v:?} ∈ v{}", param.index()),
-                    });
-                }
-                if let Some(v) = claim
-                    .get(SNode::Term(body))
-                    .iter()
-                    .find(|v| !claim.get(SNode::Var(bind)).contains(v))
-                {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} ret ⊆ v{}", bind.index()),
-                        missing: format!("{v:?} ∈ v{}", bind.index()),
-                    });
-                }
+            let Some(l) = vals.lam(b) else { continue };
+            let (param, body) = sys.lam.expect(l);
+            if let Some(v) = first_excess(row(arg), row(SNode::Var(param))) {
+                return Some(Refutation::Unclosed {
+                    edge: format!("call@{site} arg ⊆ v{}", param.index()),
+                    missing: format!("{:?} ∈ v{}", vals.clo(v), param.index()),
+                });
+            }
+            if let Some(v) = first_excess(row(SNode::Term(body)), row(SNode::Var(bind))) {
+                return Some(Refutation::Unclosed {
+                    edge: format!("call@{site} ret ⊆ v{}", bind.index()),
+                    missing: format!("{:?} ∈ v{}", vals.clo(v), bind.index()),
+                });
             }
         }
     }
@@ -519,84 +916,64 @@ fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcClaim<'_>) -> Option<R
 
 /// Certifies a source-level 0CFA answer against `prog`.
 pub fn certify_cfa_src(prog: &AnfProgram, claimed: &CfaResult) -> Result<Certificate, Refutation> {
-    certify_src_claim(prog, &SrcClaim::of_result(claimed))
+    certify_src_claim(prog, &SrcRaw::of_result(claimed))
 }
 
-fn certify_src_claim(prog: &AnfProgram, claim: &SrcClaim<'_>) -> Result<Certificate, Refutation> {
+fn certify_src_claim(prog: &AnfProgram, raw: &SrcRaw<'_>) -> Result<Certificate, Refutation> {
     let num_vars = prog.num_vars();
-    if claim.vars.len() != num_vars {
+    if raw.vars.len() != num_vars {
         return Err(Refutation::Shape {
             detail: format!(
                 "claimed {} variables, program has {}",
-                claim.vars.len(),
+                raw.vars.len(),
                 num_vars
             ),
         });
     }
     let sys = SrcSystem::derive(prog);
-    if !claim.terms.keys().eq(sys.dst_terms.iter().copied()) {
-        let claimed_keys: BTreeSet<Label> = claim.terms.keys().collect();
-        return Err(Refutation::Shape {
-            detail: format!(
-                "terms table keyed on {:?}, propagation targets are {:?}",
-                claimed_keys, sys.dst_terms
-            ),
-        });
-    }
-    if let Some(r) = src_closure_counterexample(&sys, claim) {
+    let claim = SrcClaim::convert(&sys, raw)?;
+    if let Some(r) = src_closure_counterexample(&sys, &claim) {
         return Err(r);
     }
     // Closed and seeded ⇒ the claim contains the least model; any
     // difference left is an unsupported (extra) fact.
-    let lfp = src_least_model(&sys, num_vars, prog.label_count());
-    for (i, (c, d)) in claim.vars.iter().zip(&lfp.nodes).enumerate() {
-        if let Some(v) = c.difference(d).next() {
+    let lfp = src_least_model(&sys);
+    let vals = &sys.vals;
+    for i in 0..num_vars {
+        if let Some(b) = first_excess(claim.nodes.row(i), lfp.nodes.row(i)) {
             return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ v{i}"),
+                fact: format!("{:?} ∈ v{i}", vals.clo(b)),
             });
         }
     }
-    for (l, c) in claim.terms.iter() {
-        let d = lfp
-            .nodes
-            .get(SNode::Term(l).id(num_vars))
-            .unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
+    for &l in &sys.terms.labels {
+        let n = sys.id(SNode::Term(l));
+        if let Some(b) = first_excess(claim.nodes.row(n), lfp.nodes.row(n)) {
             return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ t{l}"),
+                fact: format!("{:?} ∈ t{l}", vals.clo(b)),
             });
         }
     }
-    for (l, c) in claim.calls.iter() {
-        let d = lfp.calls.get(l).unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
-            return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ calls[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Err(Refutation::Unsupported {
-                fact: format!("empty calls[{l}] entry"),
-            });
-        }
+    if let Some(r) = table_excess("calls", &sys.sites, &claim.calls, &lfp.calls, |b| {
+        format!("{:?}", vals.clo(b))
+    }) {
+        return Err(r);
     }
     // The lfp calls table only holds non-empty entries; the claim matching
     // it elementwise plus having no extras means the key sets agree.
-    if claim.calls.len() != lfp.calls.len() {
+    if claim.calls.entries() != lfp.calls.occupied() {
         return Err(Refutation::Shape {
             detail: format!(
                 "calls table has {} sites, least model has {}",
-                claim.calls.len(),
-                lfp.calls.len()
+                claim.calls.entries(),
+                lfp.calls.occupied()
             ),
         });
     }
     Ok(Certificate {
         kind: AnalysisKind::CfaSrc,
         constraints: sys.constraints(),
-        facts: claim.vars.iter().map(|s| s.len()).sum::<usize>()
-            + claim.terms.values().map(|s| s.len()).sum::<usize>()
-            + claim.calls.values().map(|s| s.len()).sum::<usize>(),
+        facts: claim.nodes.count() + claim.calls.rows.count(),
     })
 }
 
@@ -623,28 +1000,6 @@ fn cps_op_of(w: &CVal, prog: &CpsProgram) -> Op {
     }
 }
 
-/// The flows of an operand in a claimed store, without allocating.
-fn op_flows<'s>(vars: &[&'s BTreeSet<CpsFlow>], op: Op) -> impl Iterator<Item = CpsFlow> + 's {
-    let (c, set) = match op {
-        Op::None => (None, None),
-        Op::Const(c) => (Some(c), None),
-        Op::Var(v) => (None, Some(vars[v.index()])),
-    };
-    c.into_iter().chain(set.into_iter().flatten().copied())
-}
-
-impl Flows<CpsFlow> {
-    /// Flows a CPS operand into `dst`: a constant is derived there, a
-    /// variable is linked to it.
-    fn flow(&mut self, op: Op, dst: CVarId) {
-        match op {
-            Op::None => {}
-            Op::Const(c) => self.add(dst.index(), c),
-            Op::Var(v) => self.link(v.index(), dst.index()),
-        }
-    }
-}
-
 /// Per-variable hooks of a CPS-shaped system: each call fires on closures
 /// reaching its operator variable, each return on continuations reaching
 /// its `k`.
@@ -665,6 +1020,42 @@ fn cps_hooks(
     hooks
 }
 
+/// What every CPS-shaped checker knows of the program besides its
+/// constraints: the value numbering, the call and return sites, and the λ
+/// and continuation tables.
+struct CpsIndex {
+    vals: Values,
+    call_sites: Sites,
+    ret_sites: Sites,
+    /// `λ label → (param var, k var)`.
+    lam: LabelLookup<(CVarId, CVarId)>,
+    /// continuation label → binder var.
+    cont_var: LabelLookup<CVarId>,
+    num_vars: usize,
+}
+
+impl CpsIndex {
+    /// The numbering and tables of `prog`; the sites are filled in once the
+    /// system's walk has found them.
+    fn new(prog: &CpsProgram) -> CpsIndex {
+        let n = prog.label_count();
+        let lams = prog.lambdas();
+        let conts = prog.conts();
+        CpsIndex {
+            vals: Values::new(
+                n,
+                lams.keys().copied().collect(),
+                Some(conts.keys().copied().collect()),
+            ),
+            call_sites: Sites::new(n, Vec::new()),
+            ret_sites: Sites::new(n, Vec::new()),
+            lam: LabelLookup::build(n, lams.iter().map(|(&l, r)| (l, (r.param_id, r.k_id)))),
+            cont_var: LabelLookup::build(n, conts.iter().map(|(&l, r)| (l, r.var_id))),
+            num_vars: prog.num_vars(),
+        }
+    }
+}
+
 /// The CPS constraint system, re-derived by an independent walk.
 struct CpsSystem {
     seeds: Vec<(CpsFlow, CVarId)>,
@@ -673,41 +1064,24 @@ struct CpsSystem {
     rets: Vec<(CVarId, Op, Label)>,
     /// `(operator, argument, literal continuation label, site)`.
     calls: Vec<(Op, Op, Label, Label)>,
-    /// `λ label → (param var, k var)`.
-    lam: LabelLookup<(CVarId, CVarId)>,
-    /// continuation label → binder var.
-    cont_var: LabelLookup<CVarId>,
-}
-
-/// `λ label → (param var, k var)` and continuation label → binder var, the
-/// two lookups every CPS-shaped system needs.
-fn cps_tables(prog: &CpsProgram) -> (LabelLookup<(CVarId, CVarId)>, LabelLookup<CVarId>) {
-    let n = prog.label_count();
-    (
-        LabelLookup::build(
-            n,
-            prog.lambdas()
-                .into_iter()
-                .map(|(l, r)| (l, (r.param_id, r.k_id))),
-        ),
-        LabelLookup::build(n, prog.conts().into_iter().map(|(l, r)| (l, r.var_id))),
-    )
+    ix: CpsIndex,
 }
 
 impl CpsSystem {
     fn derive(prog: &CpsProgram) -> CpsSystem {
-        let (lam, cont_var) = cps_tables(prog);
         let mut sys = CpsSystem {
             seeds: Vec::new(),
             subs: Vec::new(),
             rets: Vec::new(),
             calls: Vec::new(),
-            lam,
-            cont_var,
+            ix: CpsIndex::new(prog),
         };
         sys.walk(prog.root(), prog);
         let k0 = prog.kont_var_id(prog.top_k()).expect("top k indexed");
         sys.seeds.push((CpsFlow::Kont(AbsKont::Stop), k0));
+        let n = prog.label_count();
+        sys.ix.call_sites = Sites::new(n, sys.calls.iter().map(|c| c.3).collect());
+        sys.ix.ret_sites = Sites::new(n, sys.rets.iter().map(|r| r.2).collect());
         sys
     }
 
@@ -766,21 +1140,22 @@ impl CpsSystem {
     }
 }
 
-/// A borrowed view of a claimed CPS-shaped answer (CPS 0CFA or pushdown).
-struct CpsClaim<'a> {
+/// A claimed CPS-shaped answer's tables, borrowed from whichever container
+/// it arrived in (an analyzer result or a cache mirror).
+struct CpsRaw<'a> {
     vars: Vec<&'a BTreeSet<CpsFlow>>,
-    returns: LabelTable<&'a BTreeSet<AbsKont>>,
-    calls: LabelTable<&'a BTreeSet<AbsClo>>,
+    returns: Vec<(Label, &'a BTreeSet<AbsKont>)>,
+    calls: Vec<(Label, &'a BTreeSet<AbsClo>)>,
 }
 
-impl<'a> CpsClaim<'a> {
+impl<'a> CpsRaw<'a> {
     /// Over an analyzer result's tables (CPS 0CFA and pushdown share them).
     fn of_result(
         vars: &'a [Rc<BTreeSet<CpsFlow>>],
         returns: &'a LabelTable<BTreeSet<AbsKont>>,
         calls: &'a LabelTable<BTreeSet<AbsClo>>,
     ) -> Self {
-        CpsClaim {
+        CpsRaw {
             vars: vars.iter().map(|s| &**s).collect(),
             returns: returns.iter().collect(),
             calls: calls.iter().collect(),
@@ -793,30 +1168,72 @@ impl<'a> CpsClaim<'a> {
         returns: &'a [(Label, BTreeSet<AbsKont>)],
         calls: &'a [(Label, BTreeSet<AbsClo>)],
     ) -> Self {
-        CpsClaim {
+        CpsRaw {
             vars: vars.iter().collect(),
             returns: returns.iter().map(|(l, s)| (*l, s)).collect(),
             calls: calls.iter().map(|(l, s)| (*l, s)).collect(),
         }
     }
+}
 
-    fn flows(&self, op: Op) -> impl Iterator<Item = CpsFlow> + 'a {
-        op_flows(&self.vars, op)
+/// A claimed CPS-shaped answer (CPS 0CFA or pushdown) as rows.
+struct CpsClaim {
+    vars: Rows,
+    returns: Table,
+    calls: Table,
+}
+
+impl CpsClaim {
+    fn convert(ix: &CpsIndex, raw: &CpsRaw<'_>) -> Result<CpsClaim, Refutation> {
+        let vals = &ix.vals;
+        let mut vars = Rows::new(raw.vars.len(), vals.len());
+        for (i, set) in raw.vars.iter().enumerate() {
+            fill(&mut vars, i, set, |f| vals.flow_bit(f))?;
+        }
+        Ok(CpsClaim {
+            vars,
+            returns: claim_table("returns", &raw.returns, &ix.ret_sites, vals.len(), |k| {
+                vals.kont_bit(k)
+            })?,
+            calls: claim_table("calls", &raw.calls, &ix.call_sites, vals.len(), |c| {
+                vals.clo_bit(c)
+            })?,
+        })
+    }
+
+    /// The flow bits of an operand in the claimed store, ascending.
+    fn op_bits<'s>(&'s self, vals: &Values, op: Op) -> impl Iterator<Item = usize> + 's {
+        let (c, row) = match op {
+            Op::None => (None, None),
+            Op::Const(c) => (Some(vals.bit(c)), None),
+            Op::Var(v) => (None, Some(self.vars.row(v.index()))),
+        };
+        c.into_iter().chain(row.into_iter().flat_map(bits))
+    }
+
+    /// The first flow of `op` that variable `dst` lacks.
+    fn op_missing(&self, vals: &Values, op: Op, dst: CVarId) -> Option<CpsFlow> {
+        let dst = dst.index();
+        match op {
+            Op::None => None,
+            Op::Const(c) => (!self.vars.has(dst, vals.bit(c))).then_some(c),
+            Op::Var(v) => {
+                first_excess(self.vars.row(v.index()), self.vars.row(dst)).map(|b| vals.flow(b))
+            }
+        }
     }
 
     fn facts(&self) -> usize {
-        self.vars.iter().map(|s| s.len()).sum::<usize>()
-            + self.returns.values().map(|s| s.len()).sum::<usize>()
-            + self.calls.values().map(|s| s.len()).sum::<usize>()
+        self.vars.count() + self.returns.rows.count() + self.calls.rows.count()
     }
 }
 
-/// The recomputed CPS least model (non-empty table entries only).
-#[cfg_attr(test, derive(Debug, PartialEq))]
+/// The recomputed CPS least model: one row per variable, return site and
+/// call site.
 struct CpsModel {
-    vars: Vec<BTreeSet<CpsFlow>>,
-    returns: LabelTable<BTreeSet<AbsKont>>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
+    vars: Rows,
+    returns: Rows,
+    calls: Rows,
 }
 
 /// Least model of the re-derived CPS system, semi-naively: a closure
@@ -824,43 +1241,52 @@ struct CpsModel {
 /// the parameter and derives the literal continuation in the callee's `k`;
 /// a continuation reaching a return's `k` records the return edge and
 /// links the returned operand to the continuation's binder.
-fn cps_least_model(sys: &CpsSystem, num_vars: usize, label_count: u32) -> CpsModel {
-    let mut fl = Flows::new(num_vars);
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(label_count);
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(label_count);
-    let hooks = cps_hooks(num_vars, &sys.calls, &sys.rets);
-    let call = |fl: &mut Flows<CpsFlow>, calls: &mut LabelTable<BTreeSet<AbsClo>>, i, clo| {
+fn cps_least_model(sys: &CpsSystem) -> CpsModel {
+    let ix = &sys.ix;
+    let vals = &ix.vals;
+    let mut fl = Flows::new(ix.num_vars, vals.len());
+    let mut returns = Rows::new(ix.ret_sites.len(), vals.len());
+    let mut calls = Rows::new(ix.call_sites.len(), vals.len());
+    let hooks = cps_hooks(ix.num_vars, &sys.calls, &sys.rets);
+    let call = |fl: &mut Flows, calls: &mut Rows, i: usize, b: usize| {
         let (_, arg, cont, site) = sys.calls[i];
-        calls.entry_or_default(site).insert(clo);
-        if let AbsClo::Lam(l) = clo {
-            let (param, kvar) = sys.lam.expect(l);
-            fl.flow(arg, param);
-            fl.add(kvar.index(), CpsFlow::Kont(AbsKont::Co(cont)));
+        calls.set(ix.call_sites.at(site), b);
+        if let Some(l) = vals.lam(b) {
+            let (param, kvar) = ix.lam.expect(l);
+            fl.flow(vals, arg, param);
+            fl.add(kvar.index(), vals.co(cont));
         }
     };
     for &(src, dst) in &sys.subs {
         fl.edge(src.index(), dst.index());
     }
     for &(c, dst) in &sys.seeds {
-        fl.add(dst.index(), c);
+        fl.add(dst.index(), vals.bit(c));
     }
     for (i, &(f, ..)) in sys.calls.iter().enumerate() {
-        if let Op::Const(CpsFlow::Clo(clo)) = f {
-            call(&mut fl, &mut calls, i, clo);
+        if let Op::Const(c @ CpsFlow::Clo(_)) = f {
+            call(&mut fl, &mut calls, i, vals.bit(c));
         }
     }
-    while let Some((n, v)) = fl.next() {
+    let mut delta = Vec::new();
+    while let Some(n) = fl.next(&mut delta) {
         for &hook in &hooks[n] {
-            match (hook, v) {
-                (Hook::Call(i), CpsFlow::Clo(clo)) => call(&mut fl, &mut calls, i, clo),
-                (Hook::Ret(i), CpsFlow::Kont(kk)) => {
-                    let (_, w, site) = sys.rets[i];
-                    returns.entry_or_default(site).insert(kk);
-                    if let AbsKont::Co(l) = kk {
-                        fl.flow(w, sys.cont_var.expect(l));
+            match hook {
+                Hook::Call(i) => {
+                    for b in bits(&delta).take_while(|&b| !vals.is_kont(b)) {
+                        call(&mut fl, &mut calls, i, b);
                     }
                 }
-                _ => {}
+                Hook::Ret(i) => {
+                    let (_, w, site) = sys.rets[i];
+                    let slot = ix.ret_sites.at(site);
+                    for b in bits(&delta).filter(|&b| vals.is_kont(b)) {
+                        returns.set(slot, b);
+                        if let AbsKont::Co(l) = vals.kont(b) {
+                            fl.flow(vals, w, ix.cont_var.expect(l));
+                        }
+                    }
+                }
             }
         }
     }
@@ -871,79 +1297,85 @@ fn cps_least_model(sys: &CpsSystem, num_vars: usize, label_count: u32) -> CpsMod
     }
 }
 
-/// Closure scan of a claimed CPS store; first violated constraint, if any.
-fn cps_closure_counterexample(sys: &CpsSystem, claim: &CpsClaim<'_>) -> Option<Refutation> {
-    for &(c, dst) in &sys.seeds {
-        if !claim.vars[dst.index()].contains(&c) {
+/// The static part of a CPS-shaped closure scan: every seed and every
+/// subset edge must hold in the claimed store.
+fn static_counterexample(
+    seeds: &[(CpsFlow, CVarId)],
+    subs: &[(CVarId, CVarId)],
+    vals: &Values,
+    vars: &Rows,
+) -> Option<Refutation> {
+    for &(c, dst) in seeds {
+        if !vars.has(dst.index(), vals.bit(c)) {
             return Some(Refutation::Unclosed {
                 edge: format!("seed ⊆ v{}", dst.index()),
                 missing: format!("{c:?} ∈ v{}", dst.index()),
             });
         }
     }
-    for &(src, dst) in &sys.subs {
-        if let Some(v) = claim.vars[src.index()]
-            .difference(claim.vars[dst.index()])
-            .next()
-        {
+    for &(src, dst) in subs {
+        if let Some(b) = first_excess(vars.row(src.index()), vars.row(dst.index())) {
             return Some(Refutation::Unclosed {
                 edge: format!("v{} ⊆ v{}", src.index(), dst.index()),
-                missing: format!("{v:?} ∈ v{}", dst.index()),
+                missing: format!("{:?} ∈ v{}", vals.flow(b), dst.index()),
             });
         }
     }
+    None
+}
+
+/// Closure scan of a claimed CPS store; first violated constraint, if any.
+fn cps_closure_counterexample(sys: &CpsSystem, claim: &CpsClaim) -> Option<Refutation> {
+    let ix = &sys.ix;
+    let vals = &ix.vals;
+    let vars = &claim.vars;
+    if let Some(r) = static_counterexample(&sys.seeds, &sys.subs, vals, vars) {
+        return Some(r);
+    }
     for &(k, w, site) in &sys.rets {
-        for v in claim.vars[k.index()].iter() {
-            let CpsFlow::Kont(kk) = v else { continue };
-            if !claim.returns.get(site).is_some_and(|s| s.contains(kk)) {
+        let slot = ix.ret_sites.at(site);
+        for b in bits(vars.row(k.index())).filter(|&b| vals.is_kont(b)) {
+            let kk = vals.kont(b);
+            if !claim.returns.rows.has(slot, b) {
                 return Some(Refutation::Unclosed {
                     edge: format!("ret@{site}"),
                     missing: format!("{kk:?} ∈ returns[{site}]"),
                 });
             }
             if let AbsKont::Co(l) = kk {
-                let Some(binder) = sys.cont_var.get(*l) else {
-                    return Some(foreign(kk));
-                };
-                for f in claim.flows(w) {
-                    if !claim.vars[binder.index()].contains(&f) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("ret@{site} ⊆ v{}", binder.index()),
-                            missing: format!("{f:?} ∈ v{}", binder.index()),
-                        });
-                    }
+                let binder = ix.cont_var.expect(l);
+                if let Some(f) = claim.op_missing(vals, w, binder) {
+                    return Some(Refutation::Unclosed {
+                        edge: format!("ret@{site} ⊆ v{}", binder.index()),
+                        missing: format!("{f:?} ∈ v{}", binder.index()),
+                    });
                 }
             }
         }
     }
     for &(f, arg, cont, site) in &sys.calls {
-        for v in claim.flows(f) {
-            let CpsFlow::Clo(clo) = v else { continue };
-            if !claim.calls.get(site).is_some_and(|s| s.contains(&clo)) {
+        let slot = ix.call_sites.at(site);
+        for b in claim.op_bits(vals, f).take_while(|&b| !vals.is_kont(b)) {
+            if !claim.calls.rows.has(slot, b) {
                 return Some(Refutation::Unclosed {
                     edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
+                    missing: format!("{:?} ∈ calls[{site}]", vals.clo(b)),
                 });
             }
-            if let AbsClo::Lam(l) = clo {
-                let Some((param, kvar)) = sys.lam.get(l) else {
-                    return Some(foreign(clo));
-                };
-                for a in claim.flows(arg) {
-                    if !claim.vars[param.index()].contains(&a) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                            missing: format!("{a:?} ∈ v{}", param.index()),
-                        });
-                    }
-                }
+            let Some(l) = vals.lam(b) else { continue };
+            let (param, kvar) = ix.lam.expect(l);
+            if let Some(a) = claim.op_missing(vals, arg, param) {
+                return Some(Refutation::Unclosed {
+                    edge: format!("call@{site} arg ⊆ v{}", param.index()),
+                    missing: format!("{a:?} ∈ v{}", param.index()),
+                });
+            }
+            if !vars.has(kvar.index(), vals.co(cont)) {
                 let kc = CpsFlow::Kont(AbsKont::Co(cont));
-                if !claim.vars[kvar.index()].contains(&kc) {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} cont ⊆ v{}", kvar.index()),
-                        missing: format!("{kc:?} ∈ v{}", kvar.index()),
-                    });
-                }
+                return Some(Refutation::Unclosed {
+                    edge: format!("call@{site} cont ⊆ v{}", kvar.index()),
+                    missing: format!("{kc:?} ∈ v{}", kvar.index()),
+                });
             }
         }
     }
@@ -952,49 +1384,38 @@ fn cps_closure_counterexample(sys: &CpsSystem, claim: &CpsClaim<'_>) -> Option<R
 
 /// Shared tail of the CPS-shaped certifiers: claim closed, compare against
 /// the recomputed least model; any residual difference is unsupported.
-fn cps_store_excess(claim: &CpsClaim<'_>, lfp: &CpsModel) -> Option<Refutation> {
-    for (i, (c, d)) in claim.vars.iter().zip(&lfp.vars).enumerate() {
-        if let Some(v) = c.difference(d).next() {
+fn cps_store_excess(ix: &CpsIndex, claim: &CpsClaim, lfp: &CpsModel) -> Option<Refutation> {
+    let vals = &ix.vals;
+    for i in 0..claim.vars.len() {
+        if let Some(b) = first_excess(claim.vars.row(i), lfp.vars.row(i)) {
             return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ v{i}"),
+                fact: format!("{:?} ∈ v{i}", vals.flow(b)),
             });
         }
     }
-    static EMPTY_KONT: BTreeSet<AbsKont> = BTreeSet::new();
-    for (l, c) in claim.returns.iter() {
-        let d = lfp.returns.get(l).unwrap_or(&EMPTY_KONT);
-        if let Some(v) = c.difference(d).next() {
-            return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ returns[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Some(Refutation::Unsupported {
-                fact: format!("empty returns[{l}] entry"),
-            });
-        }
+    let excess = table_excess(
+        "returns",
+        &ix.ret_sites,
+        &claim.returns,
+        &lfp.returns,
+        |b| format!("{:?}", vals.kont(b)),
+    );
+    if excess.is_some() {
+        return excess;
     }
-    for (l, c) in claim.calls.iter() {
-        let d = lfp.calls.get(l).unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
-            return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ calls[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Some(Refutation::Unsupported {
-                fact: format!("empty calls[{l}] entry"),
-            });
-        }
+    let excess = table_excess("calls", &ix.call_sites, &claim.calls, &lfp.calls, |b| {
+        format!("{:?}", vals.clo(b))
+    });
+    if excess.is_some() {
+        return excess;
     }
-    if claim.returns.len() != lfp.returns.len() || claim.calls.len() != lfp.calls.len() {
+    let (calls, returns) = (claim.calls.entries(), claim.returns.entries());
+    if returns != lfp.returns.occupied() || calls != lfp.calls.occupied() {
         return Some(Refutation::Shape {
             detail: format!(
-                "{}×{} call/return sites claimed, least model has {}×{}",
-                claim.calls.len(),
-                claim.returns.len(),
-                lfp.calls.len(),
-                lfp.returns.len()
+                "{calls}×{returns} call/return sites claimed, least model has {}×{}",
+                lfp.calls.occupied(),
+                lfp.returns.occupied()
             ),
         });
     }
@@ -1021,18 +1442,19 @@ pub fn certify_cfa_cps(
 ) -> Result<Certificate, Refutation> {
     certify_cps_claim(
         prog,
-        &CpsClaim::of_result(&claimed.vars, &claimed.returns, &claimed.calls),
+        &CpsRaw::of_result(&claimed.vars, &claimed.returns, &claimed.calls),
     )
 }
 
-fn certify_cps_claim(prog: &CpsProgram, claim: &CpsClaim<'_>) -> Result<Certificate, Refutation> {
-    vars_shape(claim.vars.len(), prog)?;
+fn certify_cps_claim(prog: &CpsProgram, raw: &CpsRaw<'_>) -> Result<Certificate, Refutation> {
+    vars_shape(raw.vars.len(), prog)?;
     let sys = CpsSystem::derive(prog);
-    if let Some(r) = cps_closure_counterexample(&sys, claim) {
+    let claim = CpsClaim::convert(&sys.ix, raw)?;
+    if let Some(r) = cps_closure_counterexample(&sys, &claim) {
         return Err(r);
     }
-    let lfp = cps_least_model(&sys, prog.num_vars(), prog.label_count());
-    if let Some(r) = cps_store_excess(claim, &lfp) {
+    let lfp = cps_least_model(&sys);
+    if let Some(r) = cps_store_excess(&sys.ix, &claim, &lfp) {
         return Err(r);
     }
     Ok(Certificate {
@@ -1068,9 +1490,10 @@ struct PdSystem {
     join_of: HashMap<usize, Label>,
     halt_returns: Vec<Label>,
     join_returns: Vec<(Label, Label)>,
-    lam: LabelLookup<(CVarId, CVarId)>,
-    cont_var: LabelLookup<CVarId>,
+    /// Call site → its literal continuation.
+    call_cont: LabelLookup<Label>,
     top_k: CVarId,
+    ix: CpsIndex,
 }
 
 /// The enclosing user λ during the pushdown walk.
@@ -1086,7 +1509,6 @@ static NO_TPL: Vec<RTpl> = Vec::new();
 impl PdSystem {
     fn derive(prog: &CpsProgram) -> Result<PdSystem, Refutation> {
         let top_k = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-        let (lam, cont_var) = cps_tables(prog);
         let mut sys = PdSystem {
             seeds: Vec::new(),
             subs: Vec::new(),
@@ -1096,23 +1518,18 @@ impl PdSystem {
             join_of: HashMap::new(),
             halt_returns: Vec::new(),
             join_returns: Vec::new(),
-            lam,
-            cont_var,
+            call_cont: LabelLookup::build(0, []),
             top_k,
+            ix: CpsIndex::new(prog),
         };
-        let frames: HashMap<Label, PdFrame> = prog
-            .lambdas()
-            .into_iter()
-            .map(|(l, r)| {
-                let f = PdFrame {
-                    label: l,
-                    param: r.param_id,
-                    k: r.k_id,
-                };
-                (l, f)
-            })
-            .collect();
-        sys.walk(prog.root(), None, prog, &frames)?;
+        sys.walk(prog.root(), None, prog)?;
+        let n = prog.label_count();
+        sys.ix.call_sites = Sites::new(n, sys.calls.iter().map(|c| c.3).collect());
+        sys.call_cont = LabelLookup::build(n, sys.calls.iter().map(|c| (c.3, c.2)));
+        let rets = sys.halt_returns.iter().copied();
+        let rets = rets.chain(sys.join_returns.iter().map(|&(site, _)| site));
+        let rets = rets.chain(sys.templates.values().flatten().map(|t| t.site));
+        sys.ix.ret_sites = Sites::new(n, rets.collect());
         Ok(sys)
     }
 
@@ -1134,7 +1551,6 @@ impl PdSystem {
         t: &CTerm,
         frame: Option<PdFrame>,
         prog: &CpsProgram,
-        frames: &HashMap<Label, PdFrame>,
     ) -> Result<(), Refutation> {
         match &t.kind {
             CTermKind::Ret(k, w) => {
@@ -1165,7 +1581,7 @@ impl PdSystem {
                         self.joins.push((wf, cont));
                     }
                 }
-                self.enter_val(w, prog, frames)?;
+                self.enter_val(w, prog)?;
             }
             CTermKind::Let { var, val, body } => {
                 let x = prog.user_var_id(var).expect("indexed variable");
@@ -1174,17 +1590,17 @@ impl PdSystem {
                     Op::Const(c) => self.seeds.push((c, x)),
                     Op::Var(y) => self.subs.push((y, x)),
                 }
-                self.enter_val(val, prog, frames)?;
-                self.walk(body, frame, prog, frames)?;
+                self.enter_val(val, prog)?;
+                self.walk(body, frame, prog)?;
             }
             CTermKind::Call { f, arg, cont } => {
                 let fo = cps_op_of(f, prog);
                 let ao = cps_op_of(arg, prog);
                 self.calls.push((fo, ao, cont.label, t.label));
-                self.enter_val(f, prog, frames)?;
-                self.enter_val(arg, prog, frames)?;
+                self.enter_val(f, prog)?;
+                self.enter_val(arg, prog)?;
                 // The literal continuation body runs in the caller's frame.
-                self.walk(&cont.body, frame, prog, frames)?;
+                self.walk(&cont.body, frame, prog)?;
             }
             CTermKind::LetK {
                 k,
@@ -1195,118 +1611,130 @@ impl PdSystem {
             } => {
                 let kid = prog.kont_var_id(k).expect("indexed k");
                 self.join_of.insert(kid.index(), cont.label);
-                self.walk(&cont.body, frame, prog, frames)?;
-                self.walk(then_, frame, prog, frames)?;
-                self.walk(else_, frame, prog, frames)?;
+                self.walk(&cont.body, frame, prog)?;
+                self.walk(then_, frame, prog)?;
+                self.walk(else_, frame, prog)?;
             }
-            CTermKind::Loop { cont } => self.walk(&cont.body, frame, prog, frames)?,
+            CTermKind::Loop { cont } => self.walk(&cont.body, frame, prog)?,
         }
         Ok(())
     }
 
-    fn enter_val(
-        &mut self,
-        v: &CVal,
-        prog: &CpsProgram,
-        frames: &HashMap<Label, PdFrame>,
-    ) -> Result<(), Refutation> {
+    fn enter_val(&mut self, v: &CVal, prog: &CpsProgram) -> Result<(), Refutation> {
         if let CValKind::Lam { body, .. } = &v.kind {
-            let f = frames[&v.label];
-            self.walk(body, Some(f), prog, frames)?;
+            let (param, k) = self.ix.lam.expect(v.label);
+            let f = PdFrame {
+                label: v.label,
+                param,
+                k,
+            };
+            self.walk(body, Some(f), prog)?;
         }
         Ok(())
     }
+
+    /// Whether `m` is a matched-return witness of the least model `lfp`:
+    /// its call site applies its callee there and continues with its
+    /// continuation, and its return site is one of the callee's frame
+    /// returns. The least model's witnesses are exactly these, so they are
+    /// read off its call table rather than stored.
+    fn matches(&self, lfp: &CpsModel, m: &MatchedReturn) -> bool {
+        let ix = &self.ix;
+        let (Some(slot), Some(b)) = (
+            ix.call_sites.slot(m.call_site),
+            ix.vals.clo_bit(AbsClo::Lam(m.callee)),
+        ) else {
+            return false;
+        };
+        lfp.calls.has(slot, b)
+            && self.call_cont.get(m.call_site) == Some(m.cont)
+            && self
+                .templates(m.callee)
+                .iter()
+                .any(|t| t.site == m.ret_site)
+    }
 }
 
-/// A borrowed view of a claimed pushdown answer. The matched witnesses are
-/// borrowed from an analyzer result; a cache mirror stores them as a list,
-/// which is collected into a set once (16-byte `Copy` records, no flow
-/// sets).
-struct PdClaim<'a> {
-    st: CpsClaim<'a>,
-    matched: Cow<'a, BTreeSet<MatchedReturn>>,
+/// A claimed pushdown answer: the CPS-shaped tables plus the matched
+/// witnesses.
+struct PdRaw<'a> {
+    st: CpsRaw<'a>,
+    matched: Vec<MatchedReturn>,
 }
 
-impl<'a> PdClaim<'a> {
+impl<'a> PdRaw<'a> {
     fn of_result(r: &'a PushdownCfaResult) -> Self {
-        PdClaim {
-            st: CpsClaim::of_result(&r.vars, &r.returns, &r.calls),
-            matched: Cow::Borrowed(&r.matched),
+        PdRaw {
+            st: CpsRaw::of_result(&r.vars, &r.returns, &r.calls),
+            matched: r.matched.iter().copied().collect(),
         }
     }
 
+    /// A cache mirror stores the witnesses as a list; they are sorted and
+    /// deduplicated once (16-byte `Copy` records, no flow sets).
     fn of_send(s: &'a SendPushdown) -> Self {
-        PdClaim {
-            st: CpsClaim::of_send(&s.vars, &s.returns, &s.calls),
-            matched: Cow::Owned(s.matched.iter().copied().collect()),
+        let mut matched = s.matched.clone();
+        matched.sort_unstable();
+        matched.dedup();
+        PdRaw {
+            st: CpsRaw::of_send(&s.vars, &s.returns, &s.calls),
+            matched,
         }
     }
-}
-
-/// The recomputed pushdown least model: the CPS tables plus the
-/// matched-return witnesses.
-#[cfg_attr(test, derive(Debug, PartialEq))]
-struct PdModel {
-    st: CpsModel,
-    matched: BTreeSet<MatchedReturn>,
 }
 
 /// Least model of the re-derived pushdown system: the same semi-naive
 /// propagation over the static edges, with each (call, λ) pair instantiating
 /// the callee's return templates once, then the static continuation-variable
-/// fill the analyzer performs after its solve.
-fn pd_least_model(sys: &PdSystem, num_vars: usize, label_count: u32) -> PdModel {
-    let mut fl = Flows::new(num_vars);
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(label_count);
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(label_count);
-    let mut matched: BTreeSet<MatchedReturn> = BTreeSet::new();
-    // Callee λ → discovered caller continuations (for the post-solve fill).
-    let mut callers: BTreeMap<Label, BTreeSet<Label>> = BTreeMap::new();
-    let hooks = cps_hooks(num_vars, &sys.calls, &[]);
+/// fill the analyzer performs after its solve. The matched witnesses are
+/// implied by the call table ([`PdSystem::matches`]).
+fn pd_least_model(sys: &PdSystem) -> CpsModel {
+    let ix = &sys.ix;
+    let vals = &ix.vals;
+    let mut fl = Flows::new(ix.num_vars, vals.len());
+    let mut returns = Rows::new(ix.ret_sites.len(), vals.len());
+    let mut calls = Rows::new(ix.call_sites.len(), vals.len());
+    let hooks = cps_hooks(ix.num_vars, &sys.calls, &[]);
     // Halt and join returns are static, reachability-blind facts.
     for &site in &sys.halt_returns {
-        returns.entry_or_default(site).insert(AbsKont::Stop);
+        returns.set(ix.ret_sites.at(site), vals.stop());
     }
     for &(site, cont) in &sys.join_returns {
-        returns.entry_or_default(site).insert(AbsKont::Co(cont));
+        returns.set(ix.ret_sites.at(site), vals.co(cont));
     }
     for &(src, dst) in &sys.subs {
         fl.edge(src.index(), dst.index());
     }
     for &(w, cont) in &sys.joins {
-        fl.flow(w, sys.cont_var.expect(cont));
+        fl.flow(vals, w, ix.cont_var.expect(cont));
     }
     for &(c, dst) in &sys.seeds {
-        fl.add(dst.index(), c);
+        fl.add(dst.index(), vals.bit(c));
     }
-    let mut call = |fl: &mut Flows<CpsFlow>, i: usize, clo: AbsClo| {
+    let mut call = |fl: &mut Flows, i: usize, b: usize| {
         let (_, arg, cont, site) = sys.calls[i];
-        calls.entry_or_default(site).insert(clo);
-        let AbsClo::Lam(l) = clo else { return };
-        let (param, _kvar) = sys.lam.expect(l);
-        fl.flow(arg, param);
-        callers.entry(l).or_default().insert(cont);
-        let binder = sys.cont_var.expect(cont);
+        calls.set(ix.call_sites.at(site), b);
+        let Some(l) = vals.lam(b) else { return };
+        let (param, _kvar) = ix.lam.expect(l);
+        fl.flow(vals, arg, param);
+        let binder = ix.cont_var.expect(cont);
         for tpl in sys.templates(l) {
-            returns.entry_or_default(tpl.site).insert(AbsKont::Co(cont));
-            matched.insert(MatchedReturn {
-                ret_site: tpl.site,
-                callee: l,
-                call_site: site,
-                cont,
-            });
-            fl.flow(if tpl.own_param { arg } else { tpl.w }, binder);
+            returns.set(ix.ret_sites.at(tpl.site), vals.co(cont));
+            fl.flow(vals, if tpl.own_param { arg } else { tpl.w }, binder);
         }
     };
     for (i, &(f, ..)) in sys.calls.iter().enumerate() {
-        if let Op::Const(CpsFlow::Clo(clo)) = f {
-            call(&mut fl, i, clo);
+        if let Op::Const(c @ CpsFlow::Clo(_)) = f {
+            call(&mut fl, i, vals.bit(c));
         }
     }
-    while let Some((n, v)) = fl.next() {
+    let mut delta = Vec::new();
+    while let Some(n) = fl.next(&mut delta) {
         for &hook in &hooks[n] {
-            if let (Hook::Call(i), CpsFlow::Clo(clo)) = (hook, v) {
-                call(&mut fl, i, clo);
+            if let Hook::Call(i) = hook {
+                for b in bits(&delta).take_while(|&b| !vals.is_kont(b)) {
+                    call(&mut fl, i, b);
+                }
             }
         }
     }
@@ -1315,51 +1743,41 @@ fn pd_least_model(sys: &PdSystem, num_vars: usize, label_count: u32) -> PdModel 
         returns,
         calls,
     };
-    pd_fill(sys, &mut st, &callers);
-    PdModel { st, matched }
+    pd_fill(sys, &mut st);
+    st
 }
 
 /// Post-fixpoint continuation-variable fill, exactly as the analyzer
 /// commits it: matched frames into each λ's `k`, the static join
 /// continuation into each `letk` binder, `stop` into the top `k`.
-fn pd_fill(sys: &PdSystem, st: &mut CpsModel, callers: &BTreeMap<Label, BTreeSet<Label>>) {
-    for (l, conts) in callers {
-        let (_param, kvar) = sys.lam.expect(*l);
-        for &c in conts {
-            st.vars[kvar.index()].insert(CpsFlow::Kont(AbsKont::Co(c)));
+fn pd_fill(sys: &PdSystem, st: &mut CpsModel) {
+    let ix = &sys.ix;
+    for &(_, _, cont, site) in &sys.calls {
+        let co = ix.vals.co(cont);
+        for l in bits(st.calls.row(ix.call_sites.at(site))).filter_map(|b| ix.vals.lam(b)) {
+            let (_param, kvar) = ix.lam.expect(l);
+            st.vars.set(kvar.index(), co);
         }
     }
     for (&kvar, &cont) in &sys.join_of {
-        st.vars[kvar].insert(CpsFlow::Kont(AbsKont::Co(cont)));
+        st.vars.set(kvar, ix.vals.co(cont));
     }
-    st.vars[sys.top_k.index()].insert(CpsFlow::Kont(AbsKont::Stop));
+    st.vars.set(sys.top_k.index(), ix.vals.stop());
 }
 
 /// Closure scan of a claimed pushdown store; first violated constraint.
-fn pd_closure_counterexample(sys: &PdSystem, claim: &PdClaim<'_>) -> Option<Refutation> {
-    let st = &claim.st;
-    for &(c, dst) in &sys.seeds {
-        if !st.vars[dst.index()].contains(&c) {
-            return Some(Refutation::Unclosed {
-                edge: format!("seed ⊆ v{}", dst.index()),
-                missing: format!("{c:?} ∈ v{}", dst.index()),
-            });
-        }
-    }
-    for &(src, dst) in &sys.subs {
-        if let Some(v) = st.vars[src.index()].difference(st.vars[dst.index()]).next() {
-            return Some(Refutation::Unclosed {
-                edge: format!("v{} ⊆ v{}", src.index(), dst.index()),
-                missing: format!("{v:?} ∈ v{}", dst.index()),
-            });
-        }
+fn pd_closure_counterexample(
+    sys: &PdSystem,
+    st: &CpsClaim,
+    matched: &[MatchedReturn],
+) -> Option<Refutation> {
+    let ix = &sys.ix;
+    let vals = &ix.vals;
+    if let Some(r) = static_counterexample(&sys.seeds, &sys.subs, vals, &st.vars) {
+        return Some(r);
     }
     for &site in &sys.halt_returns {
-        if !st
-            .returns
-            .get(site)
-            .is_some_and(|s| s.contains(&AbsKont::Stop))
-        {
+        if !st.returns.rows.has(ix.ret_sites.at(site), vals.stop()) {
             return Some(Refutation::Unclosed {
                 edge: format!("halt return@{site}"),
                 missing: format!("stop ∈ returns[{site}]"),
@@ -1367,11 +1785,7 @@ fn pd_closure_counterexample(sys: &PdSystem, claim: &PdClaim<'_>) -> Option<Refu
         }
     }
     for &(site, cont) in &sys.join_returns {
-        if !st
-            .returns
-            .get(site)
-            .is_some_and(|s| s.contains(&AbsKont::Co(cont)))
-        {
+        if !st.returns.rows.has(ix.ret_sites.at(site), vals.co(cont)) {
             return Some(Refutation::Unclosed {
                 edge: format!("join return@{site}"),
                 missing: format!("co@{cont} ∈ returns[{site}]"),
@@ -1379,53 +1793,44 @@ fn pd_closure_counterexample(sys: &PdSystem, claim: &PdClaim<'_>) -> Option<Refu
         }
     }
     for &(w, cont) in &sys.joins {
-        let binder = sys.cont_var.expect(cont);
-        for v in st.flows(w) {
-            if !st.vars[binder.index()].contains(&v) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("join ⊆ v{}", binder.index()),
-                    missing: format!("{v:?} ∈ v{}", binder.index()),
-                });
-            }
+        let binder = ix.cont_var.expect(cont);
+        if let Some(v) = st.op_missing(vals, w, binder) {
+            return Some(Refutation::Unclosed {
+                edge: format!("join ⊆ v{}", binder.index()),
+                missing: format!("{v:?} ∈ v{}", binder.index()),
+            });
         }
     }
     for &(f, arg, cont, site) in &sys.calls {
-        for v in st.flows(f) {
-            let CpsFlow::Clo(clo) = v else { continue };
-            if !st.calls.get(site).is_some_and(|s| s.contains(&clo)) {
+        let slot = ix.call_sites.at(site);
+        for b in st.op_bits(vals, f).take_while(|&b| !vals.is_kont(b)) {
+            if !st.calls.rows.has(slot, b) {
                 return Some(Refutation::Unclosed {
                     edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
+                    missing: format!("{:?} ∈ calls[{site}]", vals.clo(b)),
                 });
             }
-            let AbsClo::Lam(l) = clo else { continue };
-            let Some((param, kvar)) = sys.lam.get(l) else {
-                return Some(foreign(clo));
-            };
-            for a in st.flows(arg) {
-                if !st.vars[param.index()].contains(&a) {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                        missing: format!("{a:?} ∈ v{}", param.index()),
-                    });
-                }
+            let Some(l) = vals.lam(b) else { continue };
+            let (param, kvar) = ix.lam.expect(l);
+            if let Some(a) = st.op_missing(vals, arg, param) {
+                return Some(Refutation::Unclosed {
+                    edge: format!("call@{site} arg ⊆ v{}", param.index()),
+                    missing: format!("{a:?} ∈ v{}", param.index()),
+                });
             }
             // Matched-call fill: the caller's frame must be visible in the
             // callee's k slot.
-            let kc = CpsFlow::Kont(AbsKont::Co(cont));
-            if !st.vars[kvar.index()].contains(&kc) {
+            let co = vals.co(cont);
+            if !st.vars.has(kvar.index(), co) {
+                let kc = CpsFlow::Kont(AbsKont::Co(cont));
                 return Some(Refutation::Unclosed {
                     edge: format!("call@{site} frame ⊆ v{}", kvar.index()),
                     missing: format!("{kc:?} ∈ v{}", kvar.index()),
                 });
             }
-            let binder = sys.cont_var.expect(cont);
+            let binder = ix.cont_var.expect(cont);
             for tpl in sys.templates(l) {
-                if !st
-                    .returns
-                    .get(tpl.site)
-                    .is_some_and(|s| s.contains(&AbsKont::Co(cont)))
-                {
+                if !st.returns.rows.has(ix.ret_sites.at(tpl.site), co) {
                     return Some(Refutation::Unclosed {
                         edge: format!("summary {l}@{site}"),
                         missing: format!("co@{cont} ∈ returns[{}]", tpl.site),
@@ -1437,35 +1842,33 @@ fn pd_closure_counterexample(sys: &PdSystem, claim: &PdClaim<'_>) -> Option<Refu
                     call_site: site,
                     cont,
                 };
-                if !claim.matched.contains(&m) {
+                if matched.binary_search(&m).is_err() {
                     return Some(Refutation::Unclosed {
                         edge: format!("summary {l}@{site}"),
                         missing: format!("matched witness {m:?}"),
                     });
                 }
                 let w = if tpl.own_param { arg } else { tpl.w };
-                for v in st.flows(w) {
-                    if !st.vars[binder.index()].contains(&v) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("summary {l}@{site} ⊆ v{}", binder.index()),
-                            missing: format!("{v:?} ∈ v{}", binder.index()),
-                        });
-                    }
+                if let Some(v) = st.op_missing(vals, w, binder) {
+                    return Some(Refutation::Unclosed {
+                        edge: format!("summary {l}@{site} ⊆ v{}", binder.index()),
+                        missing: format!("{v:?} ∈ v{}", binder.index()),
+                    });
                 }
             }
         }
     }
     // Static fills.
     for (&kvar, &cont) in &sys.join_of {
-        let kc = CpsFlow::Kont(AbsKont::Co(cont));
-        if !st.vars[kvar].contains(&kc) {
+        if !st.vars.has(kvar, vals.co(cont)) {
+            let kc = CpsFlow::Kont(AbsKont::Co(cont));
             return Some(Refutation::Unclosed {
                 edge: format!("letk fill ⊆ v{kvar}"),
                 missing: format!("{kc:?} ∈ v{kvar}"),
             });
         }
     }
-    if !st.vars[sys.top_k.index()].contains(&CpsFlow::Kont(AbsKont::Stop)) {
+    if !st.vars.has(sys.top_k.index(), vals.stop()) {
         return Some(Refutation::Unclosed {
             edge: format!("halt fill ⊆ v{}", sys.top_k.index()),
             missing: format!("stop ∈ v{}", sys.top_k.index()),
@@ -1479,28 +1882,29 @@ pub fn certify_pushdown(
     prog: &CpsProgram,
     claimed: &PushdownCfaResult,
 ) -> Result<Certificate, Refutation> {
-    certify_pd_claim(prog, &PdClaim::of_result(claimed))
+    certify_pd_claim(prog, &PdRaw::of_result(claimed))
 }
 
-fn certify_pd_claim(prog: &CpsProgram, claim: &PdClaim<'_>) -> Result<Certificate, Refutation> {
-    vars_shape(claim.st.vars.len(), prog)?;
+fn certify_pd_claim(prog: &CpsProgram, raw: &PdRaw<'_>) -> Result<Certificate, Refutation> {
+    vars_shape(raw.st.vars.len(), prog)?;
     let sys = PdSystem::derive(prog)?;
-    if let Some(r) = pd_closure_counterexample(&sys, claim) {
+    let st = CpsClaim::convert(&sys.ix, &raw.st)?;
+    if let Some(r) = pd_closure_counterexample(&sys, &st, &raw.matched) {
         return Err(r);
     }
-    let lfp = pd_least_model(&sys, prog.num_vars(), prog.label_count());
-    if let Some(m) = claim.matched.difference(&lfp.matched).next() {
+    let lfp = pd_least_model(&sys);
+    if let Some(m) = raw.matched.iter().find(|m| !sys.matches(&lfp, m)) {
         return Err(Refutation::Unsupported {
             fact: format!("matched witness {m:?}"),
         });
     }
-    if let Some(r) = cps_store_excess(&claim.st, &lfp.st) {
+    if let Some(r) = cps_store_excess(&sys.ix, &st, &lfp) {
         return Err(r);
     }
     Ok(Certificate {
         kind: AnalysisKind::CfaPushdown,
         constraints: sys.constraints(),
-        facts: claim.st.facts() + claim.matched.len(),
+        facts: st.facts() + raw.matched.len(),
     })
 }
 
@@ -1659,17 +2063,18 @@ pub fn certify_mfp(
 /// Certifies any cached answer against the (already parsed) program it
 /// claims to solve. CPS-level answers re-derive the CPS program through the
 /// shared transform — the same front end the analyzers used. The cached
-/// sets are checked in place, not copied into an analyzer result first.
+/// sets are converted to the checker's rows once, not copied into an
+/// analyzer result first.
 pub fn certify_answer(prog: &AnfProgram, answer: &CachedAnswer) -> Result<Certificate, Refutation> {
     match answer {
-        CachedAnswer::CfaSrc(s) => certify_src_claim(prog, &SrcClaim::of_send(s)),
+        CachedAnswer::CfaSrc(s) => certify_src_claim(prog, &SrcRaw::of_send(s)),
         CachedAnswer::CfaCps(s) => {
             let cps = CpsProgram::from_anf(prog);
-            certify_cps_claim(&cps, &CpsClaim::of_send(&s.vars, &s.returns, &s.calls))
+            certify_cps_claim(&cps, &CpsRaw::of_send(&s.vars, &s.returns, &s.calls))
         }
         CachedAnswer::CfaPushdown(s) => {
             let cps = CpsProgram::from_anf(prog);
-            certify_pd_claim(&cps, &PdClaim::of_send(s))
+            certify_pd_claim(&cps, &PdRaw::of_send(s))
         }
         CachedAnswer::MfpFlat(s) => certify_mfp(prog, s),
     }
@@ -1685,12 +2090,106 @@ pub fn certify_source(source: &str, answer: &CachedAnswer) -> Result<Certificate
     certify_answer(&prog, answer)
 }
 
-/// Naive round-robin Kleene iteration: the reference the worklists above
-/// are tested against. Every round re-applies every static and every
-/// call-discovered edge until nothing grows. Test-only — not a runtime path.
+/// Naive round-robin Kleene iteration over plain `BTreeSet`s: the reference
+/// the bit-row worklists above are tested against. Every round re-applies
+/// every static and every call-discovered edge until nothing grows.
+/// Test-only — not a runtime path.
 #[cfg(test)]
 mod kleene {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// A source least model as sets: one per flow node, plus the call
+    /// table (non-empty entries only).
+    #[derive(Debug, PartialEq)]
+    pub(super) struct SrcSets {
+        pub(super) nodes: Vec<BTreeSet<AbsClo>>,
+        pub(super) calls: LabelTable<BTreeSet<AbsClo>>,
+    }
+
+    /// A CPS least model as sets (non-empty table entries only).
+    #[derive(Debug, PartialEq)]
+    pub(super) struct CpsSets {
+        pub(super) vars: Vec<BTreeSet<CpsFlow>>,
+        pub(super) returns: LabelTable<BTreeSet<AbsKont>>,
+        pub(super) calls: LabelTable<BTreeSet<AbsClo>>,
+    }
+
+    /// A pushdown least model as sets: the CPS tables plus the
+    /// matched-return witnesses.
+    #[derive(Debug, PartialEq)]
+    pub(super) struct PdSets {
+        pub(super) st: CpsSets,
+        pub(super) matched: BTreeSet<MatchedReturn>,
+    }
+
+    fn row_set<T: Ord>(row: &[u64], value: impl Fn(usize) -> T) -> BTreeSet<T> {
+        bits(row).map(value).collect()
+    }
+
+    fn row_table<T: Ord>(
+        sites: &Sites,
+        rows: &Rows,
+        value: impl Fn(usize) -> T,
+    ) -> LabelTable<BTreeSet<T>> {
+        sites
+            .labels
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !is_empty(rows.row(i)))
+            .map(|(i, &l)| (l, row_set(rows.row(i), &value)))
+            .collect()
+    }
+
+    impl SrcSets {
+        /// The bit-row model as sets, for table-for-table comparison.
+        pub(super) fn of_rows(sys: &SrcSystem, m: &SrcModel) -> SrcSets {
+            SrcSets {
+                nodes: (0..m.nodes.len())
+                    .map(|i| row_set(m.nodes.row(i), |b| sys.vals.clo(b)))
+                    .collect(),
+                calls: row_table(&sys.sites, &m.calls, |b| sys.vals.clo(b)),
+            }
+        }
+    }
+
+    impl CpsSets {
+        /// The bit-row model as sets, for table-for-table comparison.
+        pub(super) fn of_rows(ix: &CpsIndex, m: &CpsModel) -> CpsSets {
+            CpsSets {
+                vars: (0..m.vars.len())
+                    .map(|i| row_set(m.vars.row(i), |b| ix.vals.flow(b)))
+                    .collect(),
+                returns: row_table(&ix.ret_sites, &m.returns, |b| ix.vals.kont(b)),
+                calls: row_table(&ix.call_sites, &m.calls, |b| ix.vals.clo(b)),
+            }
+        }
+    }
+
+    impl PdSets {
+        /// The bit-row model as sets, with the witnesses its call table
+        /// implies spelled out.
+        pub(super) fn of_rows(sys: &PdSystem, m: &CpsModel) -> PdSets {
+            let ix = &sys.ix;
+            let mut matched = BTreeSet::new();
+            for &(_, _, cont, site) in &sys.calls {
+                for l in bits(m.calls.row(ix.call_sites.at(site))).filter_map(|b| ix.vals.lam(b)) {
+                    for tpl in sys.templates(l) {
+                        matched.insert(MatchedReturn {
+                            ret_site: tpl.site,
+                            callee: l,
+                            call_site: site,
+                            cont,
+                        });
+                    }
+                }
+            }
+            PdSets {
+                st: CpsSets::of_rows(ix, m),
+                matched,
+            }
+        }
+    }
 
     fn cps_op_flows(vars: &[BTreeSet<CpsFlow>], op: Op) -> Vec<CpsFlow> {
         match op {
@@ -1708,14 +2207,14 @@ mod kleene {
         changed
     }
 
-    pub(super) fn src_least_model(sys: &SrcSystem, num_vars: usize, label_count: u32) -> SrcModel {
-        let id = |n: SNode| n.id(num_vars);
-        let mut st = SrcModel {
-            nodes: vec![BTreeSet::new(); num_vars + label_count as usize],
-            calls: LabelTable::new(label_count),
+    pub(super) fn src_least_model(sys: &SrcSystem) -> SrcSets {
+        let id = |n: SNode| sys.id(n);
+        let mut st = SrcSets {
+            nodes: vec![BTreeSet::new(); sys.nodes],
+            calls: LabelTable::new(0),
         };
-        for (set, dst) in &sys.seeds {
-            st.nodes[id(*dst)].extend(set.iter().copied());
+        for &(v, dst) in &sys.seeds {
+            st.nodes[id(dst)].insert(v);
         }
         loop {
             let mut changed = false;
@@ -1749,11 +2248,12 @@ mod kleene {
         }
     }
 
-    pub(super) fn cps_least_model(sys: &CpsSystem, num_vars: usize, label_count: u32) -> CpsModel {
-        let mut st = CpsModel {
-            vars: vec![BTreeSet::new(); num_vars],
-            returns: LabelTable::new(label_count),
-            calls: LabelTable::new(label_count),
+    pub(super) fn cps_least_model(sys: &CpsSystem) -> CpsSets {
+        let ix = &sys.ix;
+        let mut st = CpsSets {
+            vars: vec![BTreeSet::new(); ix.num_vars],
+            returns: LabelTable::new(0),
+            calls: LabelTable::new(0),
         };
         for &(c, dst) in &sys.seeds {
             st.vars[dst.index()].insert(c);
@@ -1775,7 +2275,7 @@ mod kleene {
                 for kk in ks {
                     changed |= st.returns.entry_or_default(site).insert(kk);
                     if let AbsKont::Co(l) = kk {
-                        let binder = sys.cont_var.expect(l);
+                        let binder = ix.cont_var.expect(l);
                         let flows = cps_op_flows(&st.vars, w);
                         changed |= add_all(&mut st.vars[binder.index()], flows);
                     }
@@ -1786,7 +2286,7 @@ mod kleene {
                     let CpsFlow::Clo(clo) = v else { continue };
                     changed |= st.calls.entry_or_default(site).insert(clo);
                     if let AbsClo::Lam(l) = clo {
-                        let (param, kvar) = sys.lam.expect(l);
+                        let (param, kvar) = ix.lam.expect(l);
                         let flows = cps_op_flows(&st.vars, arg);
                         changed |= add_all(&mut st.vars[param.index()], flows);
                         changed |= st.vars[kvar.index()].insert(CpsFlow::Kont(AbsKont::Co(cont)));
@@ -1799,11 +2299,12 @@ mod kleene {
         }
     }
 
-    pub(super) fn pd_least_model(sys: &PdSystem, num_vars: usize, label_count: u32) -> PdModel {
-        let mut st = CpsModel {
-            vars: vec![BTreeSet::new(); num_vars],
-            returns: LabelTable::new(label_count),
-            calls: LabelTable::new(label_count),
+    pub(super) fn pd_least_model(sys: &PdSystem) -> PdSets {
+        let ix = &sys.ix;
+        let mut st = CpsSets {
+            vars: vec![BTreeSet::new(); ix.num_vars],
+            returns: LabelTable::new(0),
+            calls: LabelTable::new(0),
         };
         let mut matched: BTreeSet<MatchedReturn> = BTreeSet::new();
         let mut callers: BTreeMap<Label, BTreeSet<Label>> = BTreeMap::new();
@@ -1823,7 +2324,7 @@ mod kleene {
                 changed |= add_all(&mut st.vars[dst.index()], flows);
             }
             for &(w, cont) in &sys.joins {
-                let binder = sys.cont_var.expect(cont);
+                let binder = ix.cont_var.expect(cont);
                 let flows = cps_op_flows(&st.vars, w);
                 changed |= add_all(&mut st.vars[binder.index()], flows);
             }
@@ -1832,11 +2333,11 @@ mod kleene {
                     let CpsFlow::Clo(clo) = v else { continue };
                     changed |= st.calls.entry_or_default(site).insert(clo);
                     let AbsClo::Lam(l) = clo else { continue };
-                    let (param, _kvar) = sys.lam.expect(l);
+                    let (param, _kvar) = ix.lam.expect(l);
                     let flows = cps_op_flows(&st.vars, arg);
                     changed |= add_all(&mut st.vars[param.index()], flows);
                     changed |= callers.entry(l).or_default().insert(cont);
-                    let binder = sys.cont_var.expect(cont);
+                    let binder = ix.cont_var.expect(cont);
                     for tpl in sys.templates(l) {
                         changed |= st
                             .returns
@@ -1858,8 +2359,18 @@ mod kleene {
                 break;
             }
         }
-        pd_fill(sys, &mut st, &callers);
-        PdModel { st, matched }
+        // The analyzer's post-solve fill.
+        for (l, conts) in &callers {
+            let (_param, kvar) = ix.lam.expect(*l);
+            for &c in conts {
+                st.vars[kvar.index()].insert(CpsFlow::Kont(AbsKont::Co(c)));
+            }
+        }
+        for (&kvar, &cont) in &sys.join_of {
+            st.vars[kvar].insert(CpsFlow::Kont(AbsKont::Co(cont)));
+        }
+        st.vars[sys.top_k.index()].insert(CpsFlow::Kont(AbsKont::Stop));
+        PdSets { st, matched }
     }
 
     /// Round-robin sweeps over every CFG node until no output grows.
@@ -1886,6 +2397,7 @@ mod kleene {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{SendCfa, SendCpsCfa};
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::pushdown::pushdown_cfa;
     use cpsdfa_workloads::families;
@@ -2051,6 +2563,61 @@ mod tests {
     }
 
     #[test]
+    fn forged_table_keys_refute_instead_of_allocating() {
+        // A cached or recovered answer whose `calls`/`returns`/`terms` key
+        // is near `u32::MAX` must be looked up through the program's site
+        // index and refute — not size a table to the key.
+        let far = Label::new(u32::MAX - 1);
+        let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
+        let c = CpsProgram::from_anf(&p);
+        let src = SendCfa::from_result(&zero_cfa(&p).unwrap());
+        let cps = SendCpsCfa::from_result(&zero_cfa_cps(&c).unwrap());
+        let pd = SendPushdown::from_result(&pushdown_cfa(&c).unwrap());
+        let clos = BTreeSet::from([AbsClo::Inc]);
+        let konts = BTreeSet::from([AbsKont::Stop]);
+        let mut forged = Vec::new();
+        let mut s = src.clone();
+        s.terms.push((far, clos.clone()));
+        forged.push(("src terms", CachedAnswer::CfaSrc(s)));
+        let mut s = src.clone();
+        s.calls.push((far, clos.clone()));
+        forged.push(("src calls", CachedAnswer::CfaSrc(s)));
+        let mut s = cps.clone();
+        s.returns.push((far, konts.clone()));
+        forged.push(("cps returns", CachedAnswer::CfaCps(s)));
+        let mut s = cps.clone();
+        s.calls.push((far, clos.clone()));
+        forged.push(("cps calls", CachedAnswer::CfaCps(s)));
+        let mut s = pd.clone();
+        s.returns.push((far, konts));
+        forged.push(("pushdown returns", CachedAnswer::CfaPushdown(s)));
+        let mut s = pd.clone();
+        s.calls.push((far, clos));
+        forged.push(("pushdown calls", CachedAnswer::CfaPushdown(s)));
+        let mut s = pd.clone();
+        s.matched.push(MatchedReturn {
+            ret_site: far,
+            callee: far,
+            call_site: far,
+            cont: far,
+        });
+        forged.push(("pushdown matched", CachedAnswer::CfaPushdown(s)));
+        for answer in [
+            CachedAnswer::CfaSrc(src),
+            CachedAnswer::CfaCps(cps),
+            CachedAnswer::CfaPushdown(pd),
+        ] {
+            certify_answer(&p, &answer).expect("the unforged answers certify");
+        }
+        for (table, answer) in &forged {
+            assert!(
+                certify_answer(&p, answer).is_err(),
+                "a far {table} key certified"
+            );
+        }
+    }
+
+    #[test]
     fn mutated_mfp_summary_refutes_both_directions() {
         let p = AnfProgram::parse("(let (x 1) (add1 x))").unwrap();
         let cfg = Cfg::from_first_order(&p).unwrap();
@@ -2069,6 +2636,7 @@ mod tests {
         }
     }
 
+    /// The oracle inputs: a random corpus plus the higher-order families
     /// The oracle inputs: a random corpus plus the higher-order families
     /// the benchmark serves, across its size range.
     fn oracle_programs() -> Vec<(String, AnfProgram)> {
@@ -2094,9 +2662,8 @@ mod tests {
         let mut calls = 0;
         for (name, p) in oracle_programs() {
             let sys = SrcSystem::derive(&p);
-            let (nv, lc) = (p.num_vars(), p.label_count());
-            let model = src_least_model(&sys, nv, lc);
-            assert_eq!(model, kleene::src_least_model(&sys, nv, lc), "{name}");
+            let model = kleene::SrcSets::of_rows(&sys, &src_least_model(&sys));
+            assert_eq!(model, kleene::src_least_model(&sys), "{name}");
             calls += model.calls.len();
         }
         assert!(calls > 0, "the oracle inputs must discover call edges");
@@ -2108,9 +2675,8 @@ mod tests {
         for (name, p) in oracle_programs() {
             let c = CpsProgram::from_anf(&p);
             let sys = CpsSystem::derive(&c);
-            let (nv, lc) = (c.num_vars(), c.label_count());
-            let model = cps_least_model(&sys, nv, lc);
-            assert_eq!(model, kleene::cps_least_model(&sys, nv, lc), "{name}");
+            let model = kleene::CpsSets::of_rows(&sys.ix, &cps_least_model(&sys));
+            assert_eq!(model, kleene::cps_least_model(&sys), "{name}");
             returns += model.returns.len();
         }
         assert!(returns > 0, "the oracle inputs must discover return edges");
@@ -2122,9 +2688,16 @@ mod tests {
         for (name, p) in oracle_programs() {
             let c = CpsProgram::from_anf(&p);
             let sys = PdSystem::derive(&c).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let (nv, lc) = (c.num_vars(), c.label_count());
-            let model = pd_least_model(&sys, nv, lc);
-            assert_eq!(model, kleene::pd_least_model(&sys, nv, lc), "{name}");
+            let lfp = pd_least_model(&sys);
+            let model = kleene::PdSets::of_rows(&sys, &lfp);
+            let oracle = kleene::pd_least_model(&sys);
+            assert_eq!(model, oracle, "{name}");
+            for m in &oracle.matched {
+                assert!(
+                    sys.matches(&lfp, m),
+                    "{name}: {m:?} not read off the call table"
+                );
+            }
             matched += model.matched.len();
         }
         assert!(matched > 0, "the oracle inputs must match returns");

@@ -549,3 +549,116 @@ proptest! {
         prop_assert!(outcome.is_ok(), "slot {}: {:?}", slot, outcome);
     }
 }
+
+/// One mutation of each kind, applied to a fixed program per analysis:
+/// `(analysis, mutation, refutation text)`. A mutation with no applicable
+/// site reports "not applicable", so the pin below cannot go vacuous.
+fn pinned_refutations() -> Vec<(&'static str, &'static str, String)> {
+    let p = AnfProgram::from_term(&families::polyvariant(3));
+    let cps = CpsProgram::from_anf(&p);
+    let text = |r: Option<Result<(), String>>| match r {
+        Some(Err(e)) => e,
+        Some(Ok(())) => "certified".to_string(),
+        None => "not applicable".to_string(),
+    };
+    let mut out = Vec::new();
+    let src = zero_cfa(&p).expect("src 0CFA completes");
+    let src_check = |m: Option<CfaResult>| {
+        m.map(|m| {
+            certify_cfa_src(&p, &m)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        })
+    };
+    out.push(("src", MUTATIONS[0], text(src_check(src_add_fact(&src)))));
+    out.push(("src", MUTATIONS[1], text(src_check(src_drop_fact(&src)))));
+    out.push((
+        "src",
+        MUTATIONS[2],
+        text(src_check(src_drop_call_edge(&src))),
+    ));
+    let cps_r = zero_cfa_cps(&cps).expect("cps 0CFA completes");
+    let cps_check = |m: Option<CpsCfaResult>| {
+        m.map(|m| {
+            certify_cfa_cps(&cps, &m)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        })
+    };
+    out.push(("cps", MUTATIONS[0], text(cps_check(cps_add_fact(&cps_r)))));
+    out.push(("cps", MUTATIONS[1], text(cps_check(cps_drop_fact(&cps_r)))));
+    out.push((
+        "cps",
+        MUTATIONS[2],
+        text(cps_check(cps_drop_call_edge(&cps_r))),
+    ));
+    out.push(("cps", MUTATIONS[3], text(cps_check(cps_add_return(&cps_r)))));
+    out.push((
+        "cps",
+        MUTATIONS[4],
+        text(cps_check(cps_drop_return(&cps_r))),
+    ));
+    let pd = pushdown_cfa(&cps).expect("pushdown completes");
+    let pd_check = |m: Option<PushdownCfaResult>| {
+        m.map(|m| {
+            certify_pushdown(&cps, &m)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        })
+    };
+    out.push(("pushdown", MUTATIONS[0], text(pd_check(pd_add_fact(&pd)))));
+    out.push(("pushdown", MUTATIONS[1], text(pd_check(pd_drop_fact(&pd)))));
+    out.push((
+        "pushdown",
+        MUTATIONS[2],
+        text(pd_check(pd_drop_call_edge(&pd))),
+    ));
+    out.push(("pushdown", MUTATIONS[3], text(pd_check(pd_add_return(&pd)))));
+    out.push((
+        "pushdown",
+        MUTATIONS[4],
+        text(pd_check(pd_drop_return(&pd))),
+    ));
+    out.push((
+        "pushdown",
+        MUTATIONS[5],
+        text(pd_check(pd_add_matched(&pd))),
+    ));
+    out.push((
+        "pushdown",
+        MUTATIONS[6],
+        text(pd_check(pd_drop_matched(&pd))),
+    ));
+    out
+}
+
+/// The exact refutation each mutation kind draws, recorded from the
+/// `BTreeSet` checker that preceded the bit-row one: the first missing or
+/// extra fact a refutation names is fixed by value order, not by the set
+/// representation.
+#[test]
+fn refutation_text_is_pinned_per_mutation_kind() {
+    let expected: [(&str, &str, &str); 15] = [
+        ("src", "add flow value", "unclosed: v0 ⊆ tℓ17 does not propagate dec ∈ tℓ17"),
+        ("src", "drop flow value", "unclosed: seed ⊆ v0 does not propagate cl@ℓ1 ∈ v0"),
+        ("src", "drop call edge", "unclosed: call@ℓ16 does not propagate cl@ℓ1 ∈ calls[ℓ16]"),
+        ("cps", "add flow value", "unsupported fact: Clo(dec) ∈ v0"),
+        ("cps", "drop flow value", "unclosed: seed ⊆ v0 does not propagate Kont(stop) ∈ v0"),
+        ("cps", "drop call edge", "unclosed: call@ℓ32 does not propagate cl@ℓ3 ∈ calls[ℓ32]"),
+        ("cps", "add returns entry", "unsupported fact: stop ∈ returns[ℓ2]"),
+        ("cps", "drop returns entry", "unclosed: ret@ℓ2 does not propagate co@ℓ14 ∈ returns[ℓ2]"),
+        ("pushdown", "add flow value", "unsupported fact: Clo(dec) ∈ v0"),
+        ("pushdown", "drop flow value", "unclosed: halt fill ⊆ v0 does not propagate stop ∈ v0"),
+        ("pushdown", "drop call edge", "unclosed: call@ℓ32 does not propagate cl@ℓ9 ∈ calls[ℓ32]"),
+        ("pushdown", "add returns entry", "unsupported fact: stop ∈ returns[ℓ2]"),
+        ("pushdown", "drop returns entry", "unclosed: summary ℓ0@ℓ37 does not propagate co@ℓ14 ∈ returns[ℓ2]"),
+        ("pushdown", "add matched witness", "unsupported fact: matched witness MatchedReturn { ret_site: ℓ2, callee: ℓ0, call_site: ℓ34, cont: ℓ23 }"),
+        ("pushdown", "drop matched witness", "unclosed: summary ℓ0@ℓ35 does not propagate matched witness MatchedReturn { ret_site: ℓ2, callee: ℓ0, call_site: ℓ35, cont: ℓ20 }"),
+    ];
+    let got = pinned_refutations();
+    assert_eq!(got.len(), expected.len());
+    for ((analysis, mutation, text), (ea, em, et)) in got.iter().zip(expected) {
+        assert_eq!((*analysis, *mutation), (ea, em));
+        assert_eq!(text, et, "{analysis} `{mutation}`");
+    }
+}

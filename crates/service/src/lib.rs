@@ -292,6 +292,9 @@ impl AnalysisService {
                 Ok(p) => {
                     let report = p.recover(&mut cache, config.recover_certify);
                     cache.note_recovery(&report);
+                    for session in cache.take_reaped_sessions() {
+                        p.remove_session(session);
+                    }
                     persist = Some(p);
                     recovery = Some(report);
                 }
@@ -440,7 +443,11 @@ impl AnalysisService {
         let full_key = CacheKey::full(req.kind, SolverMode::Seq, digest);
 
         if self.config.cache_enabled {
-            let cached = self.cache.lock().expect("cache poisoned").lookup(&full_key);
+            let (cached, reaped) = {
+                let mut cache = self.cache.lock().expect("cache poisoned");
+                (cache.lookup(&full_key), cache.take_reaped_sessions())
+            };
+            self.remove_journals(reaped);
             if let Some(hit) = cached {
                 // Sampled certification: re-derive the constraint system
                 // independently of the solver and check the cached answer
@@ -697,10 +704,24 @@ impl AnalysisService {
             let fault = self.config.persist_faults.as_ref().and_then(|p| p.poke());
             let _ = persist.store_session(session, &ancestor, fault);
         }
-        self.cache
-            .lock()
-            .expect("cache poisoned")
-            .note_ancestor(session, ancestor);
+        let reaped = {
+            let mut cache = self.cache.lock().expect("cache poisoned");
+            cache.note_ancestor(session, ancestor);
+            cache.take_reaped_sessions()
+        };
+        self.remove_journals(reaped);
+    }
+
+    /// Deletes the journals of sessions the cache evicted (TTL or count
+    /// cap), so a restarted daemon does not bring them back. A session
+    /// noted again between the drain and the deletion loses only its
+    /// warm-start journal, never an answer.
+    fn remove_journals(&self, sessions: Vec<u64>) {
+        if let Some(persist) = &self.persist {
+            for session in sessions {
+                persist.remove_session(session);
+            }
+        }
     }
 
     /// Attempts the watch-mode warm start: the session's remembered

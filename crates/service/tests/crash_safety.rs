@@ -327,6 +327,29 @@ fn idle_watch_sessions_expire_on_the_ttl() {
 }
 
 #[test]
+fn expired_sessions_lose_their_journals_across_restart() {
+    let dir = tmpdir("ttl-journal");
+    let base = families::dispatch(8).to_string();
+    {
+        let mut cfg = config(&dir);
+        cfg.session_ttl = Some(Duration::from_millis(20));
+        let service = AnalysisService::new(cfg);
+        let line = session_request(1, 7, "cfa.cps", &base);
+        service.run_batch(&[&line]);
+        std::thread::sleep(Duration::from_millis(60));
+        // Any later request reaps the expired session, journal included.
+        let line = request(2, "cfa.src", &base);
+        service.run_batch(&[&line]);
+        assert_eq!(service.cache_stats().session_ttl_evictions, 1);
+    }
+    let service = AnalysisService::new(config(&dir));
+    let rec = service.recovery().expect("persist dir recovered");
+    assert_eq!(rec.sessions, 0, "expired session stays expired: {rec:?}");
+    assert!(rec.recovered >= 2, "entries survive the session: {rec:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn health_and_stats_control_lines_report_recovery_and_certification() {
     let dir = tmpdir("health");
     {
