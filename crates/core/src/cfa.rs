@@ -49,7 +49,6 @@
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
-use crate::fxhash::FxHashMap;
 use crate::govern::RunGuard;
 use crate::labtab::{LabelLookup, LabelTable};
 use crate::setpool::{DeltaNodes, SetPool};
@@ -74,9 +73,8 @@ pub struct CfaResult {
     /// Shared commit handles, as in [`CfaResult::vars`].
     pub terms: LabelTable<Rc<BTreeSet<AbsClo>>>,
     /// Call graph: call-site `let` label → applicable closures (dense).
-    /// `Rc`-shared like the flow sets: the live incremental solver re-uses
-    /// one snapshot across commits whenever no new callee was discovered,
-    /// so a warm re-commit never deep-copies the call graph.
+    /// `Rc`-shared like the flow sets, so the incremental noop rung hands
+    /// the previous graph on without deep-copying it.
     pub calls: Rc<LabelTable<BTreeSet<AbsClo>>>,
     /// Fixpoint work performed: constraint firings (sparse solver) or full
     /// sweeps (dense baseline). Always ≥ 1.
@@ -311,9 +309,8 @@ enum SrcConstraint {
 }
 
 /// Flat per-label side tables for source-level call wiring: everything a
-/// firing needs from the AST, pre-resolved to node indices. The firing
-/// bodies read these instead of the `LabelLookup` of borrowed AST nodes, so
-/// the warm-start live solver can keep them without borrowing the program.
+/// firing needs from the AST, pre-resolved to node indices, so the firing
+/// body reads flat arrays instead of a `LabelLookup` of borrowed AST nodes.
 struct SrcTables {
     /// By lambda label: `(param var node, body term node)`; `UNINDEXED`
     /// when the label is not a lambda.
@@ -334,8 +331,7 @@ impl SrcTables {
     }
 }
 
-/// Fires source constraint `ci` — the one firing body shared by the cold
-/// solve and the warm-start live solver, so the two cannot drift.
+/// Fires source constraint `ci` — the firing body of [`zero_cfa_seeded`].
 fn fire_src(
     ci: ConstraintId,
     solver: &mut WorklistSolver,
@@ -440,7 +436,10 @@ pub fn zero_cfa_guarded(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    trace::with_span(sink, "cfa.src", |sink| zero_cfa_impl(prog, guard, sink))
+    trace::with_span(sink, "cfa.src", |sink| {
+        zero_cfa_seeded(prog, None, guard, sink)
+    })
+    .map(|solved| solved.expect("a seedless solve always fits"))
 }
 
 /// [`zero_cfa_guarded`] taking a [`SolverMode`], which has only the
@@ -454,47 +453,181 @@ pub fn zero_cfa_guarded_mode(
     zero_cfa_guarded(prog, guard, sink)
 }
 
-fn zero_cfa_impl(
+/// A warm-start seed for the source-level solver: a previous fixpoint
+/// already transported into the *new* program's variable/label spaces by
+/// the aligner in [`crate::incremental`]. Pouring a seed below the least
+/// fixpoint is always sound for a monotone constraint system — the solver
+/// re-derives exactly the missing growth.
+pub(crate) struct SrcSeed {
+    /// Closure set per new variable index (dense; length = `num_vars`).
+    pub(crate) vars: Vec<BTreeSet<AbsClo>>,
+    /// Seeded term-node sets, keyed by new label.
+    pub(crate) terms: Vec<(Label, BTreeSet<AbsClo>)>,
+    /// Pre-wired call graph: new site label → callees already discovered.
+    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
+}
+
+/// Makes constraint `c` watch node `src`. A `caught_up` watch starts past
+/// the node's current log, for a seeded constraint whose effect the seed
+/// already holds. Otherwise the watch starts at cursor 0 and `replay` posts
+/// it, so its first firing consumes the node's existing log. A cold
+/// registration passes `false` for both: every node is still empty, and
+/// [`WorklistSolver::node_grew`] posts the constraint on first growth.
+fn watch_seeded(
+    solver: &mut WorklistSolver,
+    src: usize,
+    c: ConstraintId,
+    caught_up: bool,
+    replay: bool,
+) {
+    if caught_up {
+        solver.watch_caught_up(src, c);
+    } else {
+        solver.watch(src, c);
+        if replay {
+            solver.post(c);
+        }
+    }
+}
+
+/// Source-level 0CFA from an optional seed: the one solver body behind
+/// both [`zero_cfa_guarded`] (`seed: None`) and the seeded rung of
+/// [`zero_cfa_incremental`](crate::incremental::zero_cfa_incremental).
+///
+/// With a seed, the previous fixpoint is poured **silently** (no watcher
+/// notifications), every node's cursor base is pinned past the poured
+/// history, and each constraint is registered caught-up when the seed
+/// already satisfies it — so a converged seed fires nothing at all. The
+/// seed-only steps run only when a seed is present; the cold schedule is
+/// pinned by `tests/cold_schedule.rs`. Counters flush under `cfa.src`
+/// (cold) or `cfa.src.warm` (seeded). `Ok(None)` means the seed
+/// references entities the program does not have; the caller falls back
+/// to a cold solve.
+pub(crate) fn zero_cfa_seeded(
     prog: &AnfProgram,
+    seed: Option<&SrcSeed>,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
-) -> Result<(CfaResult, SolverStats), AnalysisError> {
+) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
     let edges = collect_edges(prog);
     let idx = NodeIndex::build(prog, &edges);
     let tables = SrcTables::build(prog, &idx);
+    let total = idx.total();
 
     let mut solver = WorklistSolver::new();
-    solver.add_nodes(idx.total());
+    solver.add_nodes(total);
     solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(idx.total());
-    let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
+    let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
 
-    // Watching constraints are *not* posted at registration: every node is
-    // still empty, so their first firing would consume an empty delta and
-    // do nothing. `node_grew` schedules them as soon as a watched node
-    // gains its first element.
+    if let Some(seed) = seed {
+        if seed.vars.len() != idx.num_vars {
+            return Ok(None);
+        }
+        for (i, set) in seed.vars.iter().enumerate() {
+            for v in set {
+                nodes.add(i, *v);
+            }
+        }
+        for (l, set) in &seed.terms {
+            let li = l.index() as usize;
+            if li >= idx.term_ids.len() || idx.term_ids[li] == UNINDEXED {
+                if set.is_empty() {
+                    continue;
+                }
+                return Ok(None); // seeded label is not a flow node here
+            }
+            let n = idx.node(Node::Term(*l));
+            for v in set {
+                nodes.add(n, *v);
+            }
+        }
+        // Pin the cursor bases: watches registered below at the caught-up
+        // position treat the poured history as consumed.
+        for n in 0..total {
+            solver.set_node_len(n, nodes.log(n).len());
+        }
+        for (site, set) in &seed.calls {
+            calls.entry_or_default(*site).extend(set.iter().copied());
+        }
+    }
+    let warm = seed.is_some();
+
+    let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
+    // Call-site operand/binder nodes, for re-wiring seeded callees.
+    let mut site_nodes = Vec::new();
+    if warm {
+        site_nodes = vec![(UNINDEXED, UNINDEXED); prog.label_count() as usize];
+    }
     for e in &edges {
         match e {
             Edge::Seed(..) => {} // applied below, after all watches exist
             Edge::Sub(src, dst) => {
+                let (s, d) = (idx.node(*src), idx.node(*dst));
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(idx.node(*src), c);
-                constraints.push(SrcConstraint::Sub(idx.node(*dst)));
+                constraints.push(SrcConstraint::Sub(d));
+                let caught_up = warm && nodes.is_subset(s, d);
+                let replay = warm && !nodes.log(s).is_empty();
+                watch_seeded(&mut solver, s, c, caught_up, replay);
             }
             Edge::Call { f, arg, bind, site } => {
+                let (fnode, arg) = (idx.node(*f), idx.node(*arg));
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(idx.node(*f), c);
                 constraints.push(SrcConstraint::Call {
-                    arg: idx.node(*arg),
+                    arg,
                     bind: bind.index(),
                     site: *site,
                 });
+                if warm {
+                    site_nodes[site.index() as usize] = (arg, bind.index());
+                }
+                let caught_up = warm && {
+                    let wired = calls.get(*site);
+                    nodes
+                        .log(fnode)
+                        .iter()
+                        .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
+                };
+                let replay = warm && !nodes.log(fnode).is_empty();
+                watch_seeded(&mut solver, fnode, c, caught_up, replay);
             }
         }
     }
+
+    // Re-establish the seed's dynamically discovered wires (what
+    // `fire_src` built at callee-discovery time). A wire whose flow is
+    // already complete registers caught-up.
+    if let Some(seed) = seed {
+        for (site, set) in &seed.calls {
+            let (arg, bind) = site_nodes[site.index() as usize];
+            if arg == UNINDEXED {
+                if set.is_empty() {
+                    continue;
+                }
+                return Ok(None); // call site vanished but had callees
+            }
+            for clo in set {
+                if let AbsClo::Lam(l) = clo {
+                    let li = l.index() as usize;
+                    if li >= tables.lam.len() || tables.lam[li].0 == UNINDEXED {
+                        return Ok(None); // callee lambda vanished
+                    }
+                    let (param, body) = tables.lam[li];
+                    for (src, dst) in [(arg, param), (body, bind)] {
+                        let c = solver.add_constraint(constraints.len() as u32);
+                        constraints.push(SrcConstraint::Sub(dst));
+                        let caught_up = nodes.is_subset(src, dst);
+                        watch_seeded(&mut solver, src, c, caught_up, !nodes.log(src).is_empty());
+                    }
+                }
+            }
+        }
+    }
+
     // Seeds fire exactly once, so they skip the worklist entirely: pour
-    // each constant set in here. This must come *after* the watch loop —
-    // `node_grew` only reaches watchers that are already registered.
+    // each constant set in here. This must come *after* every watch is
+    // registered — `node_grew` only reaches watchers that already exist.
+    // On a seeded solve a constant the seed already holds is a no-op.
     for e in &edges {
         if let Edge::Seed(set, dst) = e {
             let dst = idx.node(*dst);
@@ -508,7 +641,6 @@ fn zero_cfa_impl(
         }
     }
 
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
     // Reused delta buffer: each firing consumes only what its watched
     // nodes gained since it last fired.
     let mut deltas: Vec<DeltaRange> = Vec::new();
@@ -537,9 +669,9 @@ fn zero_cfa_impl(
     let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(|i| commit(i, &mut pool)).collect();
     let terms = idx.commit_dst_terms(|node| commit(node, &mut pool));
     let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.src");
+    stats.emit_into(sink, if warm { "cfa.src.warm" } else { "cfa.src" });
     let iterations = stats.fired.max(1);
-    Ok((
+    Ok(Some((
         CfaResult {
             vars,
             terms,
@@ -547,575 +679,7 @@ fn zero_cfa_impl(
             iterations,
         },
         stats,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start (incremental) source-level solving — see `crate::incremental`
-// ---------------------------------------------------------------------------
-
-/// A warm-start seed for the source-level solver: a previous fixpoint
-/// already transported into the *new* program's variable/label spaces by
-/// the aligner in [`crate::incremental`]. Pouring a seed below the least
-/// fixpoint is always sound for a monotone constraint system — the solver
-/// re-derives exactly the missing growth.
-pub(crate) struct SrcSeed {
-    /// Closure set per new variable index (dense; length = `num_vars`).
-    pub(crate) vars: Vec<BTreeSet<AbsClo>>,
-    /// Seeded term-node sets, keyed by new label.
-    pub(crate) terms: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Pre-wired call graph: new site label → callees already discovered.
-    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
-}
-
-/// A position-free fingerprint of a static source edge, used to diff the
-/// old and new constraint sets of an in-place edit
-/// ([`SrcLive::apply_edit`]). Two edges with equal keys denote the same
-/// constraint because the caller only diffs under an identity alignment
-/// (same variable ids, same label spans).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum EdgeKey {
-    Seed(Vec<AbsClo>, (u8, u32)),
-    Sub((u8, u32), (u8, u32)),
-    Call {
-        f: (u8, u32),
-        arg: (u8, u32),
-        bind: u32,
-        site: u32,
-    },
-}
-
-impl EdgeKey {
-    fn node(n: Node) -> (u8, u32) {
-        match n {
-            Node::Var(v) => (0, v.index() as u32),
-            Node::Term(l) => (1, l.index()),
-        }
-    }
-
-    fn of(e: &Edge) -> EdgeKey {
-        match e {
-            Edge::Seed(set, dst) => EdgeKey::Seed(set.iter().copied().collect(), Self::node(*dst)),
-            Edge::Sub(src, dst) => EdgeKey::Sub(Self::node(*src), Self::node(*dst)),
-            Edge::Call { f, arg, bind, site } => EdgeKey::Call {
-                f: Self::node(*f),
-                arg: Self::node(*arg),
-                bind: bind.index() as u32,
-                site: site.index(),
-            },
-        }
-    }
-}
-
-/// Net constraint churn of an in-place edit ([`SrcLive::apply_edit`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EditDelta {
-    pub(crate) retracted: usize,
-    pub(crate) added: usize,
-}
-
-/// A source-level 0CFA solver kept **alive between edits**: the solver,
-/// delta store, constraint list and call graph of the last run, ready to
-/// be re-fired from the converged state. Three entry points build or
-/// mutate one:
-///
-/// * [`SrcLive::build`] — cold (empty store) or warm (seed poured
-///   silently, watches registered caught-up where the seed already
-///   satisfies them);
-/// * [`SrcLive::apply_edit`] — in-place constraint retraction/regeneration
-///   for an identity-aligned edit (same ids, changed constraint set);
-/// * [`SrcLive::run`] + [`SrcLive::commit`] — converge and extract.
-pub(crate) struct SrcLive {
-    solver: WorklistSolver,
-    nodes: DeltaNodes<AbsClo>,
-    pool: SetPool<AbsClo>,
-    constraints: Vec<SrcConstraint>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
-    tables: SrcTables,
-    /// label → absolute flow-node index (`UNINDEXED` when the label has no
-    /// node). Grows in place when an edit introduces new term nodes.
-    node_of_label: Vec<usize>,
-    /// label → is a propagation target (key set of [`CfaResult::terms`]).
-    dst_flags: Vec<bool>,
-    /// Alive *static* constraints with their edge fingerprints, in
-    /// registration order — the diff base for [`SrcLive::apply_edit`].
-    /// Dynamically discovered call wires are not listed: they reference
-    /// only nodes that outlive any eligible edit.
-    statics: Vec<(EdgeKey, ConstraintId)>,
-    /// Fingerprints of the static `Seed` edges already poured.
-    seed_keys: Vec<EdgeKey>,
-    num_vars: usize,
-    /// Per-node commit memo: `(log length at last commit, handle)`. Nodes
-    /// only ever grow — [`SrcLive::apply_edit`] refuses to retract a
-    /// constraint whose source contributed anything — so an unchanged log
-    /// length means an unchanged set, and a repeat commit reuses the
-    /// handle without walking the bitset. This is what keeps the live
-    /// session's per-edit cost proportional to the edit, not the fixpoint.
-    commit_cache: Vec<Option<(usize, Rc<BTreeSet<AbsClo>>)>>,
-    /// Call-graph snapshot from the last commit, keyed by the table's
-    /// total callee count. Call discovery only ever adds entries, so an
-    /// unchanged count means an unchanged graph and the snapshot is
-    /// reshared instead of deep-cloned.
-    calls_snapshot: Option<(usize, Rc<LabelTable<BTreeSet<AbsClo>>>)>,
-}
-
-impl SrcLive {
-    /// Builds a live solver over `prog`. With `seed: None` this mirrors the
-    /// cold setup of [`zero_cfa_impl`] exactly. With a seed, the previous
-    /// fixpoint is poured **silently** (no watcher notifications), every
-    /// node's cursor base is pinned past the poured history, and each
-    /// constraint is registered caught-up when the seed already satisfies
-    /// it — so a converged seed fires nothing at all. Returns `None` when
-    /// the seed references entities the new program does not have (the
-    /// caller falls back to a cold solve).
-    pub(crate) fn build(prog: &AnfProgram, seed: Option<&SrcSeed>) -> Option<SrcLive> {
-        let edges = collect_edges(prog);
-        let idx = NodeIndex::build(prog, &edges);
-        let tables = SrcTables::build(prog, &idx);
-        let total = idx.total();
-        let label_count = prog.label_count() as usize;
-
-        let mut solver = WorklistSolver::new();
-        solver.add_nodes(total);
-        solver.reserve(edges.len());
-        let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
-        let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-
-        let warm = seed.is_some();
-        if let Some(seed) = seed {
-            if seed.vars.len() != idx.num_vars {
-                return None;
-            }
-            for (i, set) in seed.vars.iter().enumerate() {
-                for v in set {
-                    nodes.add(i, *v);
-                }
-            }
-            for (l, set) in &seed.terms {
-                let li = l.index() as usize;
-                if li >= idx.term_ids.len() || idx.term_ids[li] == UNINDEXED {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    return None; // seeded label is not a flow node here
-                }
-                let n = idx.node(Node::Term(*l));
-                for v in set {
-                    nodes.add(n, *v);
-                }
-            }
-            // Pin the cursor bases: watches registered below at the
-            // caught-up position treat the poured history as consumed.
-            for n in 0..total {
-                solver.set_node_len(n, nodes.log(n).len());
-            }
-            for (site, set) in &seed.calls {
-                calls.entry_or_default(*site).extend(set.iter().copied());
-            }
-        }
-
-        let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
-        let mut statics: Vec<(EdgeKey, ConstraintId)> = Vec::with_capacity(edges.len());
-        let mut seed_keys: Vec<EdgeKey> = Vec::new();
-        // Call-site operand/binder nodes, for re-wiring seeded callees.
-        let mut site_nodes = vec![(UNINDEXED, UNINDEXED); label_count];
-        for e in &edges {
-            match e {
-                Edge::Seed(..) => seed_keys.push(EdgeKey::of(e)),
-                Edge::Sub(src, dst) => {
-                    let (s, d) = (idx.node(*src), idx.node(*dst));
-                    let c = solver.add_constraint(constraints.len() as u32);
-                    constraints.push(SrcConstraint::Sub(d));
-                    statics.push((EdgeKey::of(e), c));
-                    if warm && nodes.is_subset(s, d) {
-                        solver.watch_caught_up(s, c);
-                    } else {
-                        solver.watch(s, c);
-                        if warm && !nodes.log(s).is_empty() {
-                            solver.post(c);
-                        }
-                    }
-                }
-                Edge::Call { f, arg, bind, site } => {
-                    let fnode = idx.node(*f);
-                    let c = solver.add_constraint(constraints.len() as u32);
-                    constraints.push(SrcConstraint::Call {
-                        arg: idx.node(*arg),
-                        bind: bind.index(),
-                        site: *site,
-                    });
-                    statics.push((EdgeKey::of(e), c));
-                    site_nodes[site.index() as usize] = (idx.node(*arg), bind.index());
-                    let caught_up = warm && {
-                        let wired = calls.get(*site);
-                        nodes
-                            .log(fnode)
-                            .iter()
-                            .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
-                    };
-                    if caught_up {
-                        solver.watch_caught_up(fnode, c);
-                    } else {
-                        solver.watch(fnode, c);
-                        if warm && !nodes.log(fnode).is_empty() {
-                            solver.post(c);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Warm: re-establish the dynamically discovered wires of the
-        // previous run (what `fire_src` built at callee-discovery time).
-        // A wire whose flow is already complete registers caught-up.
-        if let Some(seed) = seed {
-            for (site, set) in &seed.calls {
-                let (arg, bind) = site_nodes[site.index() as usize];
-                if arg == UNINDEXED {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    return None; // call site vanished but had callees
-                }
-                for clo in set {
-                    if let AbsClo::Lam(l) = clo {
-                        let li = l.index() as usize;
-                        if li >= tables.lam.len() || tables.lam[li].0 == UNINDEXED {
-                            return None; // callee lambda vanished
-                        }
-                        let (param, body) = tables.lam[li];
-                        for (src, dst) in [(arg, param), (body, bind)] {
-                            let c = solver.add_constraint(constraints.len() as u32);
-                            constraints.push(SrcConstraint::Sub(dst));
-                            if nodes.is_subset(src, dst) {
-                                solver.watch_caught_up(src, c);
-                            } else {
-                                solver.watch(src, c);
-                                if !nodes.log(src).is_empty() {
-                                    solver.post(c);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Static seeds last, as in the cold setup: on a warm build these
-        // are no-ops where the poured fixpoint already holds the constant
-        // and real (posted) growth where the edit introduced one.
-        for e in &edges {
-            if let Edge::Seed(set, dst) = e {
-                let dst = idx.node(*dst);
-                let mut grew = false;
-                for v in set {
-                    grew |= nodes.add(dst, *v).is_some();
-                }
-                if grew {
-                    solver.node_grew(dst, nodes.log(dst).len());
-                }
-            }
-        }
-
-        let mut node_of_label = vec![UNINDEXED; label_count];
-        for (l, node) in node_of_label.iter_mut().enumerate() {
-            if idx.term_ids[l] != UNINDEXED {
-                *node = idx.num_vars + idx.term_ids[l];
-            }
-        }
-
-        Some(SrcLive {
-            solver,
-            nodes,
-            pool: SetPool::new(),
-            constraints,
-            calls,
-            tables,
-            node_of_label,
-            dst_flags: idx.dst_flags.clone(),
-            statics,
-            seed_keys,
-            num_vars: idx.num_vars,
-            commit_cache: vec![None; total],
-            calls_snapshot: None,
-        })
-    }
-
-    /// The flow node of `l`, allocating a fresh (empty) node when the edit
-    /// introduced a label the original program did not index.
-    fn node_for_label(&mut self, l: Label) -> usize {
-        let li = l.index() as usize;
-        if li >= self.node_of_label.len() {
-            self.node_of_label.resize(li + 1, UNINDEXED);
-            self.dst_flags.resize(li + 1, false);
-        }
-        if self.node_of_label[li] == UNINDEXED {
-            let n = self.solver.add_node();
-            let n2 = self.nodes.push_node();
-            debug_assert_eq!(n, n2);
-            self.node_of_label[li] = n;
-        }
-        self.node_of_label[li]
-    }
-
-    fn node_of(&mut self, n: Node) -> usize {
-        match n {
-            Node::Var(v) => v.index(),
-            Node::Term(l) => self.node_for_label(l),
-        }
-    }
-
-    /// Retracts the constraints an identity-aligned edit removed and
-    /// registers (and re-fires) the ones it added, **in place** on the
-    /// converged solver. The caller guarantees the edit preserves variable
-    /// ids and label spans (see `crate::incremental`); this method
-    /// additionally verifies that every *removed* constraint contributed
-    /// nothing to the fixpoint — the condition under which the converged
-    /// store is still below the new least fixpoint — and returns `None`
-    /// (leaving the state untouched) when it cannot prove that.
-    pub(crate) fn apply_edit(&mut self, prog: &AnfProgram) -> Option<EditDelta> {
-        let new_edges = collect_edges(prog);
-        // Hashed, not ordered: the diff does one lookup per edge on both
-        // sides, and `EdgeKey` comparisons (seed keys carry value vectors)
-        // made an ordered map the hot spot of the whole retract rung. The
-        // surviving indices are sorted before registration below, so
-        // constraint order stays deterministic.
-        let mut fresh: FxHashMap<EdgeKey, Vec<usize>> = FxHashMap::default();
-        for (i, e) in new_edges.iter().enumerate() {
-            fresh.entry(EdgeKey::of(e)).or_default().push(i);
-        }
-
-        // Phase 1: validate every removal before mutating anything. A
-        // removed Sub must have an empty (never-contributed) source; a
-        // removed Call must have discovered no callees; a removed Seed
-        // poured a constant we cannot un-pour, so it always disqualifies.
-        let mut retract: Vec<ConstraintId> = Vec::new();
-        let mut removed_statics: Vec<usize> = Vec::new();
-        for (i, (key, cid)) in self.statics.iter().enumerate() {
-            if let Some(slots) = fresh.get_mut(key) {
-                if let Some(_matched) = slots.pop() {
-                    if slots.is_empty() {
-                        fresh.remove(key);
-                    }
-                    continue;
-                }
-            }
-            match key {
-                EdgeKey::Sub(src, _) => {
-                    let s = match *src {
-                        (0, v) => v as usize,
-                        (_, l) => *self.node_of_label.get(l as usize)?,
-                    };
-                    if s == UNINDEXED || !self.nodes.log(s).is_empty() {
-                        return None;
-                    }
-                }
-                EdgeKey::Call { site, .. } => {
-                    let wired = self.calls.get(Label::new(*site));
-                    if wired.is_some_and(|s| !s.is_empty()) {
-                        return None;
-                    }
-                }
-                EdgeKey::Seed(..) => unreachable!("seeds are not statics"),
-            }
-            retract.push(*cid);
-            removed_statics.push(i);
-        }
-        let mut kept_seeds: Vec<EdgeKey> = Vec::new();
-        for key in &self.seed_keys {
-            if let Some(slots) = fresh.get_mut(key) {
-                if slots.pop().is_some() {
-                    if slots.is_empty() {
-                        fresh.remove(key);
-                    }
-                    kept_seeds.push(key.clone());
-                    continue;
-                }
-            }
-            return None; // a poured seed vanished: cannot shrink in place
-        }
-
-        // Phase 2: retract. The solver physically unlinks the watch edges;
-        // a retracted constraint can never fire again.
-        let delta = EditDelta {
-            retracted: retract.len(),
-            added: fresh.values().map(Vec::len).sum(),
-        };
-        for cid in retract {
-            self.solver.retract_constraint(cid);
-        }
-        for i in removed_statics.into_iter().rev() {
-            self.statics.swap_remove(i);
-        }
-        self.seed_keys = kept_seeds;
-
-        // Phase 3: regenerate. New lambdas need side-table entries and an
-        // indexed body node before any wire can reference them.
-        for (l, r) in prog.lambdas() {
-            let li = l.index() as usize;
-            if li >= self.tables.lam.len() {
-                self.tables.lam.resize(li + 1, (UNINDEXED, UNINDEXED));
-            }
-            if self.tables.lam[li].0 == UNINDEXED {
-                let body = self.node_for_label(r.body.label);
-                self.tables.lam[li] = (r.param_id.index(), body);
-            }
-        }
-        let mut added: Vec<usize> = fresh.into_values().flatten().collect();
-        added.sort_unstable();
-        for i in added {
-            match &new_edges[i] {
-                Edge::Seed(set, dst) => {
-                    let dst = self.node_of(*dst);
-                    let mut grew = false;
-                    for v in set {
-                        grew |= self.nodes.add(dst, *v).is_some();
-                    }
-                    if grew {
-                        self.solver.node_grew(dst, self.nodes.log(dst).len());
-                    }
-                    self.seed_keys.push(EdgeKey::of(&new_edges[i]));
-                }
-                Edge::Sub(src, dst) => {
-                    let (s, d) = (self.node_of(*src), self.node_of(*dst));
-                    let c = self.solver.add_constraint(self.constraints.len() as u32);
-                    self.constraints.push(SrcConstraint::Sub(d));
-                    self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    self.solver.watch(s, c);
-                    // Fresh cursor at 0: posting replays the source's full
-                    // log through the new constraint.
-                    if !self.nodes.log(s).is_empty() {
-                        self.solver.post(c);
-                    }
-                }
-                Edge::Call { f, arg, bind, site } => {
-                    let (fnode, argnode) = (self.node_of(*f), self.node_of(*arg));
-                    let c = self.solver.add_constraint(self.constraints.len() as u32);
-                    self.constraints.push(SrcConstraint::Call {
-                        arg: argnode,
-                        bind: bind.index(),
-                        site: *site,
-                    });
-                    self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    self.solver.watch(fnode, c);
-                    if !self.nodes.log(fnode).is_empty() {
-                        self.solver.post(c);
-                    }
-                }
-            }
-        }
-
-        // The propagation-target set may have shifted with the edit.
-        self.dst_flags.iter_mut().for_each(|f| *f = false);
-        for e in &new_edges {
-            if let Edge::Seed(_, Node::Term(l)) | Edge::Sub(_, Node::Term(l)) = e {
-                self.dst_flags[l.index() as usize] = true;
-            }
-        }
-        Some(delta)
-    }
-
-    /// Runs the solver to its fixpoint under `guard`. Identical firing
-    /// discipline to the cold path: memory charged per firing.
-    pub(crate) fn run(&mut self, guard: &RunGuard) -> Result<(), AnalysisError> {
-        let SrcLive {
-            solver,
-            nodes,
-            constraints,
-            calls,
-            tables,
-            ..
-        } = self;
-        let mut deltas: Vec<DeltaRange> = Vec::new();
-        solver.run_guarded(guard, |solver, ci| {
-            guard.charge_memory(nodes.approx_bytes() as u64)?;
-            fire_src(ci, solver, nodes, constraints, calls, tables, &mut deltas);
-            Ok(())
-        })
-    }
-
-    /// Commits the converged store into a fresh [`CfaResult`]. The pool is
-    /// owned by the live state, so repeated commits across edits keep the
-    /// store's memo table valid and dedup against earlier fixpoints.
-    pub(crate) fn commit(&mut self) -> CfaResult {
-        let SrcLive {
-            nodes,
-            pool,
-            calls,
-            node_of_label,
-            dst_flags,
-            commit_cache,
-            calls_snapshot,
-            ..
-        } = self;
-        if commit_cache.len() < nodes.node_count() {
-            commit_cache.resize(nodes.node_count(), None);
-        }
-        let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Rc<BTreeSet<AbsClo>> {
-            let len = nodes.log(node).len();
-            if let Some((cached_len, rc)) = &commit_cache[node] {
-                if *cached_len == len {
-                    return Rc::clone(rc);
-                }
-            }
-            let id = nodes.commit_into(node, pool);
-            let rc = pool.get_rc(id);
-            commit_cache[node] = Some((len, Rc::clone(&rc)));
-            rc
-        };
-        let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..self.num_vars).map(|i| commit(i, pool)).collect();
-        let mut terms = LabelTable::new(dst_flags.len() as u32);
-        for (i, &is_dst) in dst_flags.iter().enumerate() {
-            if is_dst {
-                let l = Label::new(i as u32);
-                terms.insert(l, commit(node_of_label[i], pool));
-            }
-        }
-        let callee_count: usize = calls.values().map(BTreeSet::len).sum();
-        let calls = match calls_snapshot {
-            Some((count, snap)) if *count == callee_count => Rc::clone(snap),
-            _ => {
-                let snap = Rc::new(calls.clone());
-                *calls_snapshot = Some((callee_count, Rc::clone(&snap)));
-                snap
-            }
-        };
-        CfaResult {
-            vars,
-            terms,
-            calls,
-            iterations: self.solver.stats().fired.max(1),
-        }
-    }
-
-    /// Constraint firings so far (cumulative across edits).
-    pub(crate) fn fired(&self) -> u64 {
-        self.solver.stats().fired
-    }
-
-    /// Solver statistics combined with the live pool's counters.
-    pub(crate) fn stats(&self) -> SolverStats {
-        self.solver.stats().with_pool(self.pool.stats())
-    }
-}
-
-/// Warm-started source-level 0CFA (stateless form): builds a seeded live
-/// solver, converges it, and commits. `Ok(None)` means the seed did not fit
-/// the program's shape — the caller should fall back to a cold solve.
-pub(crate) fn zero_cfa_warm_impl(
-    prog: &AnfProgram,
-    seed: &SrcSeed,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
-    let Some(mut live) = SrcLive::build(prog, Some(seed)) else {
-        return Ok(None);
-    };
-    live.run(guard)?;
-    let result = live.commit();
-    let stats = live.stats();
-    stats.emit_into(sink, "cfa.src.warm");
-    Ok(Some((result, stats)))
+    )))
 }
 
 /// The original dense formulation: every constraint re-evaluated per sweep,
@@ -1508,8 +1072,7 @@ fn cps_apply_clo(
     // flow.
 }
 
-/// Fires CPS constraint `ci` — the one firing body shared by the cold and
-/// warm-start solves.
+/// Fires CPS constraint `ci` — the firing body of [`zero_cfa_cps_seeded`].
 #[allow(clippy::too_many_arguments)]
 fn fire_cps(
     ci: ConstraintId,
@@ -1625,14 +1188,72 @@ pub fn zero_cfa_cps_guarded(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    trace::with_span(sink, "cfa.cps", |sink| zero_cfa_cps_impl(prog, guard, sink))
+    trace::with_span(sink, "cfa.cps", |sink| {
+        zero_cfa_cps_seeded(prog, None, guard, sink)
+    })
+    .map(|solved| solved.expect("a seedless solve always fits"))
 }
 
-fn zero_cfa_cps_impl(
+/// A warm-start seed for the CPS-level solver, already transported into
+/// the new program's spaces (the CPS mirror of [`SrcSeed`]).
+pub(crate) struct CpsSeed {
+    /// Flow set per new variable index (both namespaces; dense).
+    pub(crate) vars: Vec<BTreeSet<CpsFlow>>,
+    /// Pre-wired return sites: new site label → continuations discovered.
+    pub(crate) returns: Vec<(Label, BTreeSet<AbsKont>)>,
+    /// Pre-wired call graph: new site label → callees discovered.
+    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
+}
+
+/// The seeded analog of [`cps_wire_flow`]: instead of growing nodes on the
+/// spot, a constant flow that the seed does not already hold is **deferred**
+/// into `pours` — applied only after every watch of the run is registered,
+/// so the growth notification reaches watchers registered later than the
+/// wire. Variable flows become the usual persistent `Sub` edges,
+/// registered caught-up when the seed already contains the source.
+fn cps_warm_wire(
+    flow: Flow,
+    dst: usize,
+    solver: &mut WorklistSolver,
+    nodes: &DeltaNodes<CpsFlow>,
+    constraints: &mut Vec<CpsConstraint>,
+    pours: &mut Vec<(usize, CpsFlow)>,
+) {
+    match flow {
+        Flow::None => {}
+        Flow::Const(cflow) => {
+            if !nodes.contains(dst, &cflow) {
+                pours.push((dst, cflow));
+            }
+        }
+        Flow::Var(v) => {
+            let c = solver.add_constraint(constraints.len() as u32);
+            constraints.push(CpsConstraint::Sub(dst));
+            let src = v.index();
+            let caught_up = nodes.is_subset(src, dst);
+            watch_seeded(solver, src, c, caught_up, !nodes.log(src).is_empty());
+        }
+    }
+}
+
+/// CPS-level 0CFA from an optional seed: the one solver body behind both
+/// [`zero_cfa_cps_guarded`] (`seed: None`) and the seeded rung of
+/// [`zero_cfa_cps_incremental`](crate::incremental::zero_cfa_cps_incremental).
+///
+/// A seeded solve pours the previous fixpoint silently, pins the cursor
+/// bases, prefills the returns/calls tables, re-establishes the previous
+/// run's dynamic wires, and only then lets growth (new constants, unmet
+/// subsets) schedule work. A cold solve skips every seed-only step and
+/// posts each constant-operator call exactly once; a seeded solve skips
+/// that post when the firing would add nothing. Counters flush under
+/// `cfa.cps` (cold) or `cfa.cps.warm` (seeded). `Ok(None)` means the seed
+/// does not fit the program's shape; the caller falls back to a cold solve.
+pub(crate) fn zero_cfa_cps_seeded(
     prog: &CpsProgram,
+    seed: Option<&CpsSeed>,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
-) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
+) -> Result<Option<(CpsCfaResult, SolverStats)>, AnalysisError> {
     let tables = CpsTables::build(prog);
     let edges = collect_cps_edges(prog);
     let n = prog.num_vars();
@@ -1641,44 +1262,184 @@ fn zero_cfa_cps_impl(
     solver.add_nodes(n);
     solver.reserve(edges.len());
     let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
+    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
 
+    if let Some(seed) = seed {
+        if seed.vars.len() != n {
+            return Ok(None);
+        }
+        for (i, set) in seed.vars.iter().enumerate() {
+            for v in set {
+                nodes.add(i, *v);
+            }
+        }
+        for i in 0..n {
+            solver.set_node_len(i, nodes.log(i).len());
+        }
+        for (site, set) in &seed.returns {
+            returns.entry_or_default(*site).extend(set.iter().copied());
+        }
+        for (site, set) in &seed.calls {
+            calls.entry_or_default(*site).extend(set.iter().copied());
+        }
+    }
+    let warm = seed.is_some();
+
+    // Per-site operands, for re-establishing a seed's wires.
+    let (mut ret_w, mut call_ac) = (Vec::new(), Vec::new());
+    if warm {
+        let label_count = prog.label_count() as usize;
+        ret_w = vec![None; label_count];
+        call_ac = vec![None; label_count];
+    }
+    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
     // As in the source solver: watching constraints are not posted while
     // every node is still empty (their first delta would be empty — a
-    // no-op); `node_grew` will schedule them. Constant-operator calls have
-    // no watches and are posted once; seeds skip the worklist entirely and
-    // are applied after the watch loop below.
+    // no-op); `node_grew` will schedule them. Seeds skip the worklist
+    // entirely and are applied after the watch loop below.
     for e in &edges {
         match e {
             CpsEdge::Seed(..) => {}
             CpsEdge::Sub(src, dst) => {
+                let (s, d) = (src.index(), dst.index());
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(src.index(), c);
-                constraints.push(CpsConstraint::Sub(dst.index()));
+                constraints.push(CpsConstraint::Sub(d));
+                let caught_up = warm && nodes.is_subset(s, d);
+                let replay = warm && !nodes.log(s).is_empty();
+                watch_seeded(&mut solver, s, c, caught_up, replay);
             }
             CpsEdge::Ret { k, w, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(k.index(), c);
                 constraints.push(CpsConstraint::Ret { w: *w, site: *site });
+                let kn = k.index();
+                if warm {
+                    ret_w[site.index() as usize] = Some(*w);
+                }
+                let caught_up = warm && {
+                    let wired = returns.get(*site);
+                    nodes.log(kn).iter().all(|(v, _)| match v {
+                        CpsFlow::Kont(kk) => wired.is_some_and(|s| s.contains(kk)),
+                        CpsFlow::Clo(_) => true, // closures in k are skipped by the firing
+                    })
+                };
+                let replay = warm && !nodes.log(kn).is_empty();
+                watch_seeded(&mut solver, kn, c, caught_up, replay);
             }
             CpsEdge::Call { f, arg, cont, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
-                if let Flow::Var(v) = f {
-                    solver.watch(v.index(), c);
-                } else {
-                    solver.post(c);
-                }
                 constraints.push(CpsConstraint::Call {
                     f: *f,
                     arg: *arg,
                     cont: *cont,
                     site: *site,
                 });
+                if warm {
+                    call_ac[site.index() as usize] = Some((*arg, *cont));
+                }
+                match f {
+                    Flow::Var(v) => {
+                        let fnode = v.index();
+                        let caught_up = warm && {
+                            let wired = calls.get(*site);
+                            nodes.log(fnode).iter().all(|(val, _)| match val {
+                                CpsFlow::Clo(clo) => wired.is_some_and(|s| s.contains(clo)),
+                                CpsFlow::Kont(_) => true, // non-closures are skipped
+                            })
+                        };
+                        let replay = warm && !nodes.log(fnode).is_empty();
+                        watch_seeded(&mut solver, fnode, c, caught_up, replay);
+                    }
+                    // A constant operator has no watches: cold posts it
+                    // exactly once; a seeded solve skips the firing when it
+                    // would add nothing (callee already wired, or no
+                    // closure to call).
+                    Flow::Const(_) | Flow::None => {
+                        let redundant = warm
+                            && match f {
+                                Flow::Const(CpsFlow::Clo(clo)) => {
+                                    calls.get(*site).is_some_and(|s| s.contains(clo))
+                                }
+                                _ => true,
+                            };
+                        if !redundant {
+                            solver.post(c);
+                        }
+                    }
+                }
             }
         }
     }
-    // Seeds fire exactly once: pour each constant flow in directly, after
-    // every watch is registered so `node_grew` reaches all watchers.
+
+    // Re-establish the seed's dynamic wires. `Ok(None)` whenever a seeded
+    // site or callee has no counterpart in the new program.
+    let mut pours: Vec<(usize, CpsFlow)> = Vec::new();
+    if let Some(seed) = seed {
+        for (site, set) in &seed.returns {
+            let w = match ret_w.get(site.index() as usize).copied().flatten() {
+                Some(w) => w,
+                None if set.is_empty() => continue,
+                None => return Ok(None),
+            };
+            for kk in set {
+                if let AbsKont::Co(l) = kk {
+                    let dst = tables
+                        .cont_var
+                        .get(l.index() as usize)
+                        .copied()
+                        .unwrap_or(UNINDEXED);
+                    if dst == UNINDEXED {
+                        return Ok(None);
+                    }
+                    cps_warm_wire(w, dst, &mut solver, &nodes, &mut constraints, &mut pours);
+                }
+            }
+        }
+        for (site, set) in &seed.calls {
+            let (arg, cont) = match call_ac.get(site.index() as usize).copied().flatten() {
+                Some(ac) => ac,
+                None if set.is_empty() => continue,
+                None => return Ok(None),
+            };
+            for clo in set {
+                if let AbsClo::Lam(l) = clo {
+                    let (param, kvar) = tables
+                        .lam
+                        .get(l.index() as usize)
+                        .copied()
+                        .unwrap_or((UNINDEXED, UNINDEXED));
+                    if param == UNINDEXED {
+                        return Ok(None);
+                    }
+                    cps_warm_wire(
+                        arg,
+                        param,
+                        &mut solver,
+                        &nodes,
+                        &mut constraints,
+                        &mut pours,
+                    );
+                    cps_warm_wire(
+                        Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
+                        kvar,
+                        &mut solver,
+                        &nodes,
+                        &mut constraints,
+                        &mut pours,
+                    );
+                }
+            }
+        }
+    }
+
+    // Deferred constant pours, then the static seeds: every watch exists
+    // now, so this growth notifies all of them (caught-up ones included,
+    // via their cursors). A constant the seed already holds is a no-op.
+    for (dst, flow) in pours {
+        if let Some(len) = nodes.add(dst, flow) {
+            solver.node_grew(dst, len);
+        }
+    }
     for e in &edges {
         if let CpsEdge::Seed(flow, dst) = e {
             let dst = dst.index();
@@ -1688,10 +1449,7 @@ fn zero_cfa_cps_impl(
         }
     }
 
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
     let mut deltas: Vec<DeltaRange> = Vec::new();
-
     solver.run_guarded(guard, |solver, ci| {
         guard.charge_memory(nodes.approx_bytes() as u64)?;
         fire_cps(
@@ -1718,291 +1476,7 @@ fn zero_cfa_cps_impl(
         })
         .collect();
     let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps");
-    let iterations = stats.fired.max(1);
-    Ok((
-        CpsCfaResult {
-            vars,
-            returns,
-            calls,
-            iterations,
-        },
-        stats,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start (incremental) CPS-level solving — see `crate::incremental`
-// ---------------------------------------------------------------------------
-
-/// A warm-start seed for the CPS-level solver, already transported into
-/// the new program's spaces (the CPS mirror of [`SrcSeed`]).
-pub(crate) struct CpsSeed {
-    /// Flow set per new variable index (both namespaces; dense).
-    pub(crate) vars: Vec<BTreeSet<CpsFlow>>,
-    /// Pre-wired return sites: new site label → continuations discovered.
-    pub(crate) returns: Vec<(Label, BTreeSet<AbsKont>)>,
-    /// Pre-wired call graph: new site label → callees discovered.
-    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
-}
-
-/// The warm analog of [`cps_wire_flow`]: instead of growing nodes on the
-/// spot, a constant flow that the seed does not already hold is **deferred**
-/// into `pours` — applied only after every watch of the run is registered,
-/// so the growth notification reaches watchers registered later than the
-/// wire. Variable flows become the usual persistent `Sub` edges,
-/// registered caught-up when the seed already contains the source.
-fn cps_warm_wire(
-    flow: Flow,
-    dst: usize,
-    solver: &mut WorklistSolver,
-    nodes: &DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-    pours: &mut Vec<(usize, CpsFlow)>,
-) {
-    match flow {
-        Flow::None => {}
-        Flow::Const(cflow) => {
-            if !nodes.contains(dst, &cflow) {
-                pours.push((dst, cflow));
-            }
-        }
-        Flow::Var(v) => {
-            let c = solver.add_constraint(constraints.len() as u32);
-            constraints.push(CpsConstraint::Sub(dst));
-            if nodes.is_subset(v.index(), dst) {
-                solver.watch_caught_up(v.index(), c);
-            } else {
-                solver.watch(v.index(), c);
-                if !nodes.log(v.index()).is_empty() {
-                    solver.post(c);
-                }
-            }
-        }
-    }
-}
-
-/// Warm-started CPS-level 0CFA: pours a previous fixpoint silently, pins
-/// the cursor bases, prefills the returns/calls tables, re-establishes the
-/// previous run's dynamic wires, and only then lets growth (new constants,
-/// unmet subsets) schedule work. `Ok(None)` = seed does not fit the new
-/// program's shape; fall back to a cold solve.
-pub(crate) fn zero_cfa_cps_warm_impl(
-    prog: &CpsProgram,
-    seed: &CpsSeed,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CpsCfaResult, SolverStats)>, AnalysisError> {
-    let tables = CpsTables::build(prog);
-    let edges = collect_cps_edges(prog);
-    let n = prog.num_vars();
-    if seed.vars.len() != n {
-        return Ok(None);
-    }
-
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(n);
-    solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    for (i, set) in seed.vars.iter().enumerate() {
-        for v in set {
-            nodes.add(i, *v);
-        }
-    }
-    for i in 0..n {
-        solver.set_node_len(i, nodes.log(i).len());
-    }
-
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    for (site, set) in &seed.returns {
-        returns.entry_or_default(*site).extend(set.iter().copied());
-    }
-    for (site, set) in &seed.calls {
-        calls.entry_or_default(*site).extend(set.iter().copied());
-    }
-
-    let label_count = prog.label_count() as usize;
-    // Per-site operands, for re-establishing the previous run's wires.
-    let mut ret_w: Vec<Option<Flow>> = vec![None; label_count];
-    let mut call_ac: Vec<Option<(Flow, Label)>> = vec![None; label_count];
-
-    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
-    let mut pours: Vec<(usize, CpsFlow)> = Vec::new();
-    for e in &edges {
-        match e {
-            CpsEdge::Seed(..) => {}
-            CpsEdge::Sub(src, dst) => {
-                let (s, d) = (src.index(), dst.index());
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Sub(d));
-                if nodes.is_subset(s, d) {
-                    solver.watch_caught_up(s, c);
-                } else {
-                    solver.watch(s, c);
-                    if !nodes.log(s).is_empty() {
-                        solver.post(c);
-                    }
-                }
-            }
-            CpsEdge::Ret { k, w, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Ret { w: *w, site: *site });
-                ret_w[site.index() as usize] = Some(*w);
-                let kn = k.index();
-                let wired = returns.get(*site);
-                let caught_up = nodes.log(kn).iter().all(|(v, _)| match v {
-                    CpsFlow::Kont(kk) => wired.is_some_and(|s| s.contains(kk)),
-                    CpsFlow::Clo(_) => true, // closures in k are skipped by the firing
-                });
-                if caught_up {
-                    solver.watch_caught_up(kn, c);
-                } else {
-                    solver.watch(kn, c);
-                    if !nodes.log(kn).is_empty() {
-                        solver.post(c);
-                    }
-                }
-            }
-            CpsEdge::Call { f, arg, cont, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Call {
-                    f: *f,
-                    arg: *arg,
-                    cont: *cont,
-                    site: *site,
-                });
-                call_ac[site.index() as usize] = Some((*arg, *cont));
-                match f {
-                    Flow::Var(v) => {
-                        let wired = calls.get(*site);
-                        let caught_up = nodes.log(v.index()).iter().all(|(val, _)| match val {
-                            CpsFlow::Clo(clo) => wired.is_some_and(|s| s.contains(clo)),
-                            CpsFlow::Kont(_) => true, // non-closures are skipped
-                        });
-                        if caught_up {
-                            solver.watch_caught_up(v.index(), c);
-                        } else {
-                            solver.watch(v.index(), c);
-                            if !nodes.log(v.index()).is_empty() {
-                                solver.post(c);
-                            }
-                        }
-                    }
-                    Flow::Const(CpsFlow::Clo(clo)) => {
-                        // Cold posts constant-operator calls exactly once;
-                        // warm skips the firing when its callee is wired.
-                        if !calls.get(*site).is_some_and(|s| s.contains(clo)) {
-                            solver.post(c);
-                        }
-                    }
-                    Flow::Const(CpsFlow::Kont(_)) | Flow::None => {}
-                }
-            }
-        }
-    }
-
-    // Re-establish the previous run's dynamic wires. `Ok(None)` whenever a
-    // seeded site or callee has no counterpart in the new program.
-    for (site, set) in &seed.returns {
-        let w = match ret_w.get(site.index() as usize).copied().flatten() {
-            Some(w) => w,
-            None if set.is_empty() => continue,
-            None => return Ok(None),
-        };
-        for kk in set {
-            if let AbsKont::Co(l) = kk {
-                let dst = tables
-                    .cont_var
-                    .get(l.index() as usize)
-                    .copied()
-                    .unwrap_or(UNINDEXED);
-                if dst == UNINDEXED {
-                    return Ok(None);
-                }
-                cps_warm_wire(w, dst, &mut solver, &nodes, &mut constraints, &mut pours);
-            }
-        }
-    }
-    for (site, set) in &seed.calls {
-        let (arg, cont) = match call_ac.get(site.index() as usize).copied().flatten() {
-            Some(ac) => ac,
-            None if set.is_empty() => continue,
-            None => return Ok(None),
-        };
-        for clo in set {
-            if let AbsClo::Lam(l) = clo {
-                let (param, kvar) = tables
-                    .lam
-                    .get(l.index() as usize)
-                    .copied()
-                    .unwrap_or((UNINDEXED, UNINDEXED));
-                if param == UNINDEXED {
-                    return Ok(None);
-                }
-                cps_warm_wire(
-                    arg,
-                    param,
-                    &mut solver,
-                    &nodes,
-                    &mut constraints,
-                    &mut pours,
-                );
-                cps_warm_wire(
-                    Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
-                    kvar,
-                    &mut solver,
-                    &nodes,
-                    &mut constraints,
-                    &mut pours,
-                );
-            }
-        }
-    }
-
-    // Deferred constant pours: every watch exists now, so this growth
-    // notifies all of them (including caught-up ones, via their cursors).
-    for (dst, flow) in pours {
-        if let Some(len) = nodes.add(dst, flow) {
-            solver.node_grew(dst, len);
-        }
-    }
-    // Static seeds: no-ops where the poured fixpoint already holds the
-    // constant, real growth where the edit introduced one.
-    for e in &edges {
-        if let CpsEdge::Seed(flow, dst) = e {
-            let dst = dst.index();
-            if let Some(len) = nodes.add(dst, *flow) {
-                solver.node_grew(dst, len);
-            }
-        }
-    }
-
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_cps(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut returns,
-            &mut calls,
-            &tables,
-            &mut deltas,
-        );
-        Ok(())
-    })?;
-
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps.warm");
+    stats.emit_into(sink, if warm { "cfa.cps.warm" } else { "cfa.cps" });
     let iterations = stats.fired.max(1);
     Ok(Some((
         CpsCfaResult {

@@ -554,38 +554,21 @@ pub fn pushdown_cfa_guarded(
     sink: &mut impl TraceSink,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
     trace::with_span(sink, "cfa.pushdown", |sink| {
-        pushdown_cfa_impl(prog, guard, sink)
+        pushdown_cfa_seeded(prog, None, guard, sink)
     })
 }
 
-fn pushdown_cfa_impl(
-    prog: &CpsProgram,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    pushdown_cfa_impl_seeded(prog, None, guard, sink)
-}
-
-/// Warm-started pushdown analysis (*seed-and-resolve*): pours a previous
-/// fixpoint's transported **user-variable** sets into the store after watch
-/// registration, so every constraint starts from the converged sets instead
-/// of growing them element by element; the call/return/summary machinery is
-/// re-derived by the solve itself. Sound because the edit's alignment (see
-/// `crate::incremental`) guarantees the seed lies below the new least
-/// fixpoint. `Ok(None)` when the seed does not fit the program's shape.
-pub(crate) fn pushdown_cfa_warm_impl(
-    prog: &CpsProgram,
-    seed_vars: &[BTreeSet<CpsFlow>],
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(PushdownCfaResult, SolverStats)>, AnalysisError> {
-    if seed_vars.len() != prog.num_vars() {
-        return Ok(None);
-    }
-    pushdown_cfa_impl_seeded(prog, Some(seed_vars), guard, sink).map(Some)
-}
-
-fn pushdown_cfa_impl_seeded(
+/// Pushdown CFA from an optional seed: the one solver body behind both
+/// [`pushdown_cfa_guarded`] (`seed_vars: None`) and the seeded rung of
+/// [`pushdown_cfa_incremental`](crate::incremental::pushdown_cfa_incremental)
+/// (*seed-and-resolve*). A seed holds a previous fixpoint's transported
+/// **user-variable** sets, one per variable of `prog`; they are poured
+/// into the store after watch registration, so every constraint starts
+/// from the converged sets instead of growing them element by element,
+/// and the call/return/summary machinery is re-derived by the solve
+/// itself. Sound because the edit's alignment guarantees the seed lies
+/// below the new least fixpoint.
+pub(crate) fn pushdown_cfa_seeded(
     prog: &CpsProgram,
     seed_vars: Option<&[BTreeSet<CpsFlow>]>,
     guard: &RunGuard,
@@ -602,7 +585,7 @@ fn pushdown_cfa_impl_seeded(
     let mut constraints: Vec<PdConstraint> = Vec::with_capacity(st.edges.len());
 
     // Watch registration first, seed pours second — same discipline as
-    // `zero_cfa_cps_impl`: watching constraints are scheduled by
+    // `zero_cfa_cps_seeded`: watching constraints are scheduled by
     // `node_grew`, so they are not posted while every node is empty.
     for e in &st.edges {
         match e {

@@ -534,16 +534,6 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         self.logs.len()
     }
 
-    /// Appends one fresh empty node to the store and returns its index.
-    /// The incremental re-analysis path ([`crate::incremental`]) uses this
-    /// to grow the node space in place when an edit introduces flow nodes
-    /// the original program did not have.
-    pub fn push_node(&mut self) -> usize {
-        self.logs.push(Vec::new());
-        self.bits.push(Vec::new());
-        self.logs.len() - 1
-    }
-
     /// Interns `node`'s converged set into `pool` — the extraction commit
     /// point. The node's bitset already holds its elements as
     /// sorted-distinct universe indices, so the canonical form costs a word

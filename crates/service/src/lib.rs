@@ -893,11 +893,13 @@ impl AnalysisService {
         let mut guard = trace.lock().expect("trace poisoned");
         let sink = &mut *guard;
         if sink.enabled() {
-            let span = format!("service.req.{}", job.request.id);
-            sink.span_start(&span);
+            // One fixed span name for every request, so the trace's name
+            // set does not grow with traffic; the id rides as a gauge.
+            sink.span_start("service.req");
+            sink.gauge("service.req.id", job.request.id);
             agg.replay_into(sink);
             sink.time_ns("service.req.latency", response.latency_us * 1000);
-            sink.span_end(&span);
+            sink.span_end("service.req");
         }
         Outcome { response, fixpoint }
     }

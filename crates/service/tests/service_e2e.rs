@@ -5,7 +5,7 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::CachedAnswer;
 use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
-use cpsdfa_core::trace::AggSink;
+use cpsdfa_core::trace::{parse_event, AggSink, JsonlSink, TraceEvent};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
@@ -212,14 +212,31 @@ fn batch_traces_carry_request_spans_and_cache_counters() {
         request(2, "cfa.src", &program),
     ];
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let mut agg = AggSink::new();
-    service.run_batch_traced(&refs, &mut agg);
+    let mut jsonl = JsonlSink::new(Vec::new());
+    service.run_batch_traced(&refs, &mut jsonl);
+    let text = String::from_utf8(jsonl.into_inner()).expect("utf-8 trace");
+    let agg = AggSink::from_jsonl(&text);
     assert_eq!(agg.counter_value("cache.hit"), 1);
     assert_eq!(agg.counter_value("cache.miss"), 1);
     assert_eq!(agg.counter_value("service.hit"), 1);
     assert_eq!(agg.counter_value("service.solve"), 1);
-    assert!(agg.span_agg("service.req.1").is_some());
-    assert!(agg.span_agg("service.req.2").is_some());
+    // Both requests share one fixed span name; the ids ride as a gauge.
+    assert_eq!(agg.span_agg("service.req").map(|s| s.count), Some(2));
+    assert_eq!(agg.gauge_value("service.req.id"), 2);
+    let spans: Vec<String> = text
+        .lines()
+        .filter_map(|line| match parse_event(line) {
+            Some(TraceEvent::SpanStart { name }) => Some(name),
+            _ => None,
+        })
+        .collect();
+    assert!(!spans.is_empty());
+    for name in &spans {
+        assert!(
+            !name.split('.').any(|part| part == "1" || part == "2"),
+            "span name {name:?} carries a request id"
+        );
+    }
     assert!(
         agg.counter_value("cfa.src.fired") > 0,
         "the solver's own counters stream through the request trace"

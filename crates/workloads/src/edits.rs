@@ -14,7 +14,7 @@
 //! |------|---------------|
 //! | [`EditKind::ReplaceConst`] | Noop (constants do not steer control flow) |
 //! | [`EditKind::RenameVar`] | Noop (the aligner is name-insensitive) |
-//! | [`EditKind::ReplaceConstWithVar`] | Retract / Seeded (constraint set changes) |
+//! | [`EditKind::ReplaceConstWithVar`] | Seeded (constraint set changes) |
 //! | [`EditKind::InsertLeaf`] | Seeded (entity spaces shift) |
 //! | [`EditKind::InsertLambda`] | Seeded (new flow introduced) |
 //! | [`EditKind::SwapArms`] | Noop for constant arms; Cold when closures move |
@@ -93,7 +93,7 @@ pub fn edit_script(base: &Term, kinds: &[EditKind], seed: u64) -> EditScript {
     let mut cur = base.clone();
     let mut steps = Vec::new();
     for &kind in kinds {
-        if let Some(next) = apply_edit(&cur, kind, &mut rng, &mut fresh) {
+        if let Some(next) = random_edit(&cur, kind, &mut rng, &mut fresh) {
             cur = next.clone();
             steps.push(EditStep { kind, term: next });
         }
@@ -107,7 +107,7 @@ pub fn edit_script(base: &Term, kinds: &[EditKind], seed: u64) -> EditScript {
 /// Applies one edit of the given kind at a seeded-random applicable site.
 /// Returns `None` when the term has no applicable site (e.g. no `if0` to
 /// swap, no unused binding to delete).
-pub fn apply_edit(
+pub fn random_edit(
     term: &Term,
     kind: EditKind,
     rng: &mut StdRng,

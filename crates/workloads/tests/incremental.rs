@@ -4,23 +4,23 @@
 //! every step of every edit script — and the non-monotone edits must
 //! provably fall back to a cold solve rather than return a stale answer.
 //!
-//! Four clients are differenced on each step: source 0CFA (both the
-//! stateless seeded driver and the live [`IncrementalCfa`] retract path),
-//! CPS 0CFA, the pushdown rung, and MFP/`Flat` (transport-only). A
-//! proptest closes the loop over random programs × random edit scripts.
+//! Four clients are differenced on each step: source 0CFA, CPS 0CFA and
+//! the pushdown rung (each through its stateless seeded driver), and
+//! MFP/`Flat` (transport-only). A proptest closes the loop over random
+//! programs × random edit scripts.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_instrumented};
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::incremental::{
     pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, ColdReason,
-    IncrementalCfa, Outcome, WarmPath, WarmSolve,
+    Outcome, WarmPath, WarmSolve,
 };
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::pushdown_cfa;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::Term;
-use cpsdfa_workloads::edits::{apply_edit, edit_script, EditKind, FreshNames, ALL_EDIT_KINDS};
+use cpsdfa_workloads::edits::{edit_script, random_edit, EditKind, FreshNames, ALL_EDIT_KINDS};
 use cpsdfa_workloads::families;
 use cpsdfa_workloads::random::{generate, open_config};
 use proptest::prelude::*;
@@ -91,27 +91,31 @@ fn check_edit_step(old: &Term, new: &Term, ctx: &str) {
     }
 }
 
-/// Runs one full script through the live analyzer, checking bit-identity
-/// against a cold solve after every step, and returns the per-step
-/// reports.
-fn run_live(
-    base: &Term,
-    kinds: &[EditKind],
-    seed: u64,
-) -> Vec<(EditKind, cpsdfa_core::incremental::WarmReport)> {
+/// Runs one full script through the stateless source-level driver, each
+/// step warm-starting from the previous step's answer. Every warm answer
+/// is checked bit-identical to a cold solve. Returns each step's outcome
+/// and the constraints its warm attempt fired (0 when it fell cold).
+fn run_src_script(base: &Term, kinds: &[EditKind], seed: u64) -> Vec<(EditKind, Outcome, u64)> {
     let script = edit_script(base, kinds, seed);
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&script.base)).expect("initial solve");
+    let mut old_p = AnfProgram::from_term(&script.base);
+    let mut prev = zero_cfa(&old_p).expect("initial solve");
     let mut out = Vec::new();
     for (i, step) in script.steps.iter().enumerate() {
         let new_p = AnfProgram::from_term(&step.term);
         let cold = zero_cfa(&new_p).expect("cold solve");
-        let report = live.update(new_p).expect("live update");
-        assert!(
-            live.result().same_solution(&cold),
-            "live step {i} ({:?}) differs from cold: {report:?}",
-            step.kind
-        );
-        out.push((step.kind, report));
+        match zero_cfa_warm(&old_p, &prev, &new_p).expect("warm driver") {
+            WarmSolve::Warm(warm, report) => {
+                assert!(
+                    warm.same_solution(&cold),
+                    "step {i} ({:?}) differs from cold: {report:?}",
+                    step.kind
+                );
+                out.push((step.kind, report.outcome, report.fired));
+            }
+            WarmSolve::Cold(reason) => out.push((step.kind, Outcome::Cold(reason), 0)),
+        }
+        old_p = new_p;
+        prev = cold;
     }
     out
 }
@@ -155,56 +159,45 @@ fn edit_scripts_are_bit_identical_across_families() {
 }
 
 #[test]
-fn live_analyzer_tracks_scripts_across_families() {
-    let kinds: Vec<EditKind> = ALL_EDIT_KINDS.to_vec();
-    for (name, base) in family_bases() {
-        let reports = run_live(&base, &kinds, 0x11FE + name.len() as u64);
-        assert!(!reports.is_empty(), "{name}: no edits applied");
-    }
-}
-
-#[test]
-fn const_and_rename_edits_are_noops_on_the_live_solver() {
+fn const_and_rename_edits_are_noops_on_the_stateless_driver() {
     let base = families::dispatch(24);
-    let reports = run_live(&base, &[EditKind::ReplaceConst, EditKind::RenameVar], 7);
-    assert_eq!(reports.len(), 2);
-    for (kind, report) in reports {
+    let steps = run_src_script(&base, &[EditKind::ReplaceConst, EditKind::RenameVar], 7);
+    assert_eq!(steps.len(), 2);
+    for (kind, outcome, fired) in steps {
         assert_eq!(
-            report.outcome,
+            outcome,
             Outcome::Warm(WarmPath::Noop),
             "{kind:?} should be a Noop"
         );
-        assert_eq!(report.fired, 0, "{kind:?} fired constraints");
+        assert_eq!(fired, 0, "{kind:?} fired constraints");
     }
 }
 
 #[test]
-fn const_to_var_edit_retracts_in_place() {
+fn const_to_var_edit_warm_starts_from_the_seed() {
     // dispatch has the free input `z`, so the rewritten constant keeps the
-    // variable and label spaces intact — the retract rung must answer.
+    // variable and label spaces intact — the seeded rung must answer.
     let base = families::dispatch(24);
-    let reports = run_live(&base, &[EditKind::ReplaceConstWithVar], 3);
-    assert_eq!(reports.len(), 1);
-    let (_, report) = reports[0];
-    assert_eq!(report.outcome, Outcome::Warm(WarmPath::Retract));
+    let steps = run_src_script(&base, &[EditKind::ReplaceConstWithVar], 3);
+    assert_eq!(steps.len(), 1);
+    assert_eq!(steps[0].1, Outcome::Warm(WarmPath::Seeded));
 }
 
 #[test]
 fn insertions_warm_start_from_the_seed() {
     let base = families::polyvariant(16);
-    let cold_fired = {
-        let live = IncrementalCfa::new(AnfProgram::from_term(&base)).expect("cold");
-        live.last_report().fired
-    };
-    let reports = run_live(&base, &[EditKind::InsertLeaf, EditKind::InsertLambda], 11);
-    assert_eq!(reports.len(), 2);
-    for (kind, report) in reports {
-        assert!(report.is_warm(), "{kind:?} fell cold: {report:?}");
+    let (_, cold) = zero_cfa_instrumented(&AnfProgram::from_term(&base)).expect("cold");
+    let steps = run_src_script(&base, &[EditKind::InsertLeaf, EditKind::InsertLambda], 11);
+    assert_eq!(steps.len(), 2);
+    for (kind, outcome, fired) in steps {
         assert!(
-            report.fired < cold_fired,
-            "{kind:?}: warm fired {} ≥ cold {}",
-            report.fired,
-            cold_fired
+            matches!(outcome, Outcome::Warm(_)),
+            "{kind:?} fell cold: {outcome:?}"
+        );
+        assert!(
+            fired < cold.fired,
+            "{kind:?}: warm fired {fired} ≥ cold {}",
+            cold.fired
         );
     }
 }
@@ -213,27 +206,24 @@ fn insertions_warm_start_from_the_seed() {
 fn deleting_a_flowing_binding_falls_back_cold() {
     // Insert an (unused) λ binding, converge, then delete it: the deleted
     // variable's set holds the closure, so re-using the old fixpoint would
-    // over-approximate — the analyzer must prove it and go cold.
+    // over-approximate — the driver must prove it and go cold.
     let base = families::dispatch(12);
     let mut rng = StdRng::seed_from_u64(41);
     let mut fresh = FreshNames::over(&base);
-    let with_lam = apply_edit(&base, EditKind::InsertLambda, &mut rng, &mut fresh).expect("insert");
+    let with_lam =
+        random_edit(&base, EditKind::InsertLambda, &mut rng, &mut fresh).expect("insert");
     let deleted =
-        apply_edit(&with_lam, EditKind::DeleteBinding, &mut rng, &mut fresh).expect("delete");
+        random_edit(&with_lam, EditKind::DeleteBinding, &mut rng, &mut fresh).expect("delete");
     assert_eq!(with_lam.lambda_count(), base.lambda_count() + 1);
     assert_eq!(deleted, base, "deleting the inserted binding restores");
 
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&with_lam)).expect("initial");
-    let cold = zero_cfa(&AnfProgram::from_term(&deleted)).expect("cold");
-    let report = live
-        .update(AnfProgram::from_term(&deleted))
-        .expect("update");
-    assert_eq!(
-        report.outcome,
-        Outcome::Cold(ColdReason::NonMonotone),
-        "deletion of a flowing binding must be proven non-monotone"
+    let old = AnfProgram::from_term(&with_lam);
+    let prev = zero_cfa(&old).expect("initial");
+    let outcome = zero_cfa_warm(&old, &prev, &AnfProgram::from_term(&deleted)).expect("warm");
+    assert!(
+        matches!(outcome, WarmSolve::Cold(ColdReason::NonMonotone)),
+        "deletion of a flowing binding must be proven non-monotone, got {outcome:?}"
     );
-    assert!(live.result().same_solution(&cold));
 }
 
 #[test]
@@ -243,19 +233,16 @@ fn swapping_lambda_arms_falls_back_cold() {
     let base = families::dispatch(8);
     let mut rng = StdRng::seed_from_u64(5);
     let mut fresh = FreshNames::over(&base);
-    let swapped = apply_edit(&base, EditKind::SwapArms, &mut rng, &mut fresh).expect("swap");
+    let swapped = random_edit(&base, EditKind::SwapArms, &mut rng, &mut fresh).expect("swap");
     assert_ne!(swapped, base);
 
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&base)).expect("initial");
-    let cold = zero_cfa(&AnfProgram::from_term(&swapped)).expect("cold");
-    let report = live
-        .update(AnfProgram::from_term(&swapped))
-        .expect("update");
+    let old = AnfProgram::from_term(&base);
+    let prev = zero_cfa(&old).expect("initial");
+    let outcome = zero_cfa_warm(&old, &prev, &AnfProgram::from_term(&swapped)).expect("warm");
     assert!(
-        matches!(report.outcome, Outcome::Cold(_)),
-        "λ-moving swap must fall cold, got {report:?}"
+        matches!(outcome, WarmSolve::Cold(ColdReason::NonMonotone)),
+        "λ-moving swap must fall cold, got {outcome:?}"
     );
-    assert!(live.result().same_solution(&cold));
 }
 
 #[test]
@@ -270,7 +257,7 @@ fn mfp_transport_answers_pure_renames_only() {
     // A rename transports.
     let mut rng = StdRng::seed_from_u64(17);
     let mut fresh = FreshNames::over(&base);
-    let renamed = apply_edit(&base, EditKind::RenameVar, &mut rng, &mut fresh).expect("rename");
+    let renamed = random_edit(&base, EditKind::RenameVar, &mut rng, &mut fresh).expect("rename");
     let rp = AnfProgram::from_term(&renamed);
     let warm = solve_mfp_incremental(&p, &prev, &rp);
     assert!(warm.is_some(), "rename must transport");
@@ -281,7 +268,7 @@ fn mfp_transport_answers_pure_renames_only() {
     assert_eq!(warm.unwrap().0, cold);
 
     // A constant change must NOT transport (Flat is constant-sensitive).
-    let changed = apply_edit(&base, EditKind::ReplaceConst, &mut rng, &mut fresh).expect("const");
+    let changed = random_edit(&base, EditKind::ReplaceConst, &mut rng, &mut fresh).expect("const");
     let cp = AnfProgram::from_term(&changed);
     assert!(
         solve_mfp_incremental(&p, &prev, &cp).is_none(),
@@ -307,15 +294,6 @@ proptest! {
         for (i, step) in script.steps.iter().enumerate() {
             check_edit_step(&prev, &step.term, &format!("random step {i} {:?}", step.kind));
             prev = step.term.clone();
-        }
-
-        // And the live analyzer over the same script.
-        let mut live = IncrementalCfa::new(AnfProgram::from_term(&script.base)).expect("initial");
-        for step in &script.steps {
-            let new_p = AnfProgram::from_term(&step.term);
-            let cold = zero_cfa(&new_p).expect("cold");
-            live.update(new_p).expect("update");
-            prop_assert!(live.result().same_solution(&cold));
         }
     }
 }
