@@ -72,7 +72,8 @@ pub enum AnalysisError {
     /// The wall-clock [`Deadline`](crate::govern::Deadline) of the
     /// governing [`RunGuard`](crate::govern::RunGuard) passed mid-run.
     DeadlineExceeded,
-    /// The arena/set-pool footprint crossed the guard's memory ceiling.
+    /// The solver's value-store footprint crossed the guard's memory
+    /// ceiling.
     MemoryExhausted {
         /// The configured ceiling, in bytes.
         limit_bytes: u64,

@@ -41,15 +41,15 @@
 
 use super::{
     fnv128_bytes, AnalysisKind, Ancestor, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
-    FixpointCache, SendCfa, SendCpsCfa, SendPushdown, FNV128_OFFSET,
+    FixpointCache, FNV128_OFFSET,
 };
 use crate::absval::{AbsClo, AbsKont};
-use crate::cfa::CpsFlow;
+use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
 use crate::faultinject::PersistFault;
 use crate::govern::{DegradationReport, RungAttempt};
 use crate::mfp::DfSummary;
-use crate::pushdown::MatchedReturn;
+use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::Label;
 use std::collections::BTreeSet;
@@ -341,14 +341,20 @@ impl<'a> Cur<'a> {
         Some(out)
     }
 
+    /// A label-ordered table. Labels must be strictly increasing — the
+    /// order the encoder writes and the result types' lookups assume — so
+    /// a table out of order decodes as corrupt.
     fn table<T: Ord>(
         &mut self,
         mut get: impl FnMut(&mut Self) -> Option<T>,
     ) -> Option<Vec<(Label, BTreeSet<T>)>> {
         let n = self.count()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out: Vec<(Label, BTreeSet<T>)> = Vec::with_capacity(n);
         for _ in 0..n {
             let l = self.label()?;
+            if out.last().is_some_and(|&(prev, _)| prev >= l) {
+                return None;
+            }
             out.push((l, self.set(&mut get)?));
         }
         Some(out)
@@ -356,13 +362,13 @@ impl<'a> Cur<'a> {
 
     fn answer(&mut self) -> Option<CachedAnswer> {
         match self.u8()? {
-            0 => Some(CachedAnswer::CfaSrc(SendCfa {
+            0 => Some(CachedAnswer::CfaSrc(CfaResult {
                 vars: self.sets(Cur::clo)?,
                 terms: self.table(Cur::clo)?,
                 calls: self.table(Cur::clo)?,
                 iterations: self.u64()?,
             })),
-            1 => Some(CachedAnswer::CfaCps(SendCpsCfa {
+            1 => Some(CachedAnswer::CfaCps(CpsCfaResult {
                 vars: self.sets(Cur::flow)?,
                 returns: self.table(Cur::kont)?,
                 calls: self.table(Cur::clo)?,
@@ -373,16 +379,21 @@ impl<'a> Cur<'a> {
                 let returns = self.table(Cur::kont)?;
                 let calls = self.table(Cur::clo)?;
                 let n = self.count()?;
-                let mut matched = Vec::with_capacity(n);
+                let mut matched: Vec<MatchedReturn> = Vec::with_capacity(n);
                 for _ in 0..n {
-                    matched.push(MatchedReturn {
+                    let m = MatchedReturn {
                         ret_site: self.label()?,
                         callee: self.label()?,
                         call_site: self.label()?,
                         cont: self.label()?,
-                    });
+                    };
+                    // Sorted and distinct, as the result type keeps them.
+                    if matched.last().is_some_and(|prev| *prev >= m) {
+                        return None;
+                    }
+                    matched.push(m);
                 }
-                Some(CachedAnswer::CfaPushdown(SendPushdown {
+                Some(CachedAnswer::CfaPushdown(PushdownCfaResult {
                     vars,
                     returns,
                     calls,
@@ -808,7 +819,7 @@ mod tests {
         let digest = ArenaDigests::new().term_digest(&arena, id);
         let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, digest);
         let fixpoint = CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
             DegradationReport::default(),
         );
         (key, fixpoint)
@@ -822,11 +833,9 @@ mod tests {
         let cps = CpsProgram::from_anf(&p);
         let cfg = Cfg::from_first_order(&p).unwrap();
         let answers = [
-            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&zero_cfa_cps(&cps).unwrap())),
-            CachedAnswer::CfaPushdown(SendPushdown::from_result(
-                &crate::pushdown::pushdown_cfa(&cps).unwrap(),
-            )),
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
+            CachedAnswer::CfaCps(zero_cfa_cps(&cps).unwrap()),
+            CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
             CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap()),
         ];
         for answer in answers {
@@ -842,6 +851,52 @@ mod tests {
             assert_eq!(s2, "(src)");
             assert_eq!(a2, answer, "lossless round-trip");
         }
+    }
+
+    #[test]
+    fn tables_out_of_label_order_decode_as_corrupt() {
+        let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
+        let cps = CpsProgram::from_anf(&p);
+        let key = |kind: AnalysisKind| CacheKey {
+            kind,
+            digest: 0xfeed,
+            rung: kind.full_rung(),
+        };
+        let decodes = |answer: CachedAnswer| {
+            let fixpoint = CachedFixpoint::new(answer.clone(), DegradationReport::default());
+            let payload = encode_entry_payload(&key(answer.kind()), "(src)", &fixpoint);
+            decode_entry_payload(&payload).is_some()
+        };
+        let src = zero_cfa(&p).unwrap();
+        assert!(decodes(CachedAnswer::CfaSrc(src.clone())));
+        let mut swapped = src.clone();
+        assert!(swapped.terms.len() >= 2);
+        swapped.terms.swap(0, 1);
+        assert!(
+            !decodes(CachedAnswer::CfaSrc(swapped)),
+            "terms out of order"
+        );
+        let mut repeated = src;
+        let first = repeated.calls[0].clone();
+        repeated.calls.insert(0, first);
+        assert!(
+            !decodes(CachedAnswer::CfaSrc(repeated)),
+            "repeated call site"
+        );
+        let pd = crate::pushdown::pushdown_cfa(&cps).unwrap();
+        let mut reversed = pd.clone();
+        reversed.returns.reverse();
+        assert!(
+            !decodes(CachedAnswer::CfaPushdown(reversed)),
+            "returns reversed"
+        );
+        let mut doubled = pd;
+        let m = doubled.matched[0];
+        doubled.matched.push(m);
+        assert!(
+            !decodes(CachedAnswer::CfaPushdown(doubled)),
+            "matched repeated"
+        );
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! solver scheduling, warm-start seeding, cache storage, disk
 //! corruption that slips past checksums — produces an answer that fails
 //! this check. The worklist here is the checker's own (its own `u64` rows,
-//! a `Vec` stack, dense label tables); it shares no engine, set pool,
+//! a `Vec` stack, dense label tables); it shares no engine, value store,
 //! bitset kernel or delta log with the solvers, and the unit tests pin it
 //! to a naive `BTreeSet` Kleene oracle table for table. The daemon's
 //! `--certify` mode samples served answers through [`certify_answer`] and
@@ -79,11 +79,11 @@
 //! (DESIGN.md §13).
 
 use crate::absval::{AbsClo, AbsKont};
-use crate::cache::{AnalysisKind, CachedAnswer, SendCfa, SendPushdown};
+use crate::cache::{AnalysisKind, CachedAnswer};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::{Flat, NumDomain};
 use crate::fxhash::FxHashSet;
-use crate::labtab::{LabelLookup, LabelTable};
+use crate::labtab::LabelLookup;
 use crate::mfp::{Cfg, DfSummary, Stmt};
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
@@ -91,7 +91,6 @@ use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
 
 /// A machine-readable witness that a claimed solution *is* the least
 /// fixpoint of the constraint system re-derived from the program.
@@ -435,7 +434,7 @@ fn fill<T: Copy + fmt::Debug>(
 /// key that is no site of the program refutes instead of sizing anything.
 fn claim_table<T: Copy + fmt::Debug>(
     name: &str,
-    entries: &[(Label, &BTreeSet<T>)],
+    entries: &[(Label, BTreeSet<T>)],
     sites: &Sites,
     values: usize,
     bit: impl Fn(T) -> Option<usize>,
@@ -444,7 +443,7 @@ fn claim_table<T: Copy + fmt::Debug>(
         rows: Rows::new(sites.len(), values),
         present: vec![false; sites.len()],
     };
-    for &(l, set) in entries {
+    for &(l, ref set) in entries {
         let i = sites.slot(l).ok_or_else(|| Refutation::Shape {
             detail: format!("{name} table keyed on {l}, which is no site of the program"),
         })?;
@@ -757,32 +756,6 @@ impl SrcSystem {
     }
 }
 
-/// A claimed source answer's tables, borrowed from whichever container it
-/// arrived in (an analyzer result or a cache mirror).
-struct SrcRaw<'a> {
-    vars: Vec<&'a BTreeSet<AbsClo>>,
-    terms: Vec<(Label, &'a BTreeSet<AbsClo>)>,
-    calls: Vec<(Label, &'a BTreeSet<AbsClo>)>,
-}
-
-impl<'a> SrcRaw<'a> {
-    fn of_result(r: &'a CfaResult) -> Self {
-        SrcRaw {
-            vars: r.vars.iter().map(|s| &**s).collect(),
-            terms: r.terms.iter().map(|(l, s)| (l, &**s)).collect(),
-            calls: r.calls.iter().collect(),
-        }
-    }
-
-    fn of_send(s: &'a SendCfa) -> Self {
-        SrcRaw {
-            vars: s.vars.iter().collect(),
-            terms: s.terms.iter().map(|(l, s)| (*l, s)).collect(),
-            calls: s.calls.iter().map(|(l, s)| (*l, s)).collect(),
-        }
-    }
-}
-
 /// A claimed source answer as rows: one per flow node (variables, then
 /// term labels; unclaimed terms stay empty) plus the call table.
 struct SrcClaim {
@@ -791,30 +764,30 @@ struct SrcClaim {
 }
 
 impl SrcClaim {
-    fn convert(sys: &SrcSystem, raw: &SrcRaw<'_>) -> Result<SrcClaim, Refutation> {
+    fn convert(sys: &SrcSystem, claimed: &CfaResult) -> Result<SrcClaim, Refutation> {
         let mut seen = vec![false; sys.terms.len()];
-        let keyed = raw.terms.iter().all(|&(l, _)| {
+        let keyed = claimed.terms.iter().all(|&(l, _)| {
             let slot = sys.terms.slot(l);
             slot.map(|i| seen[i] = true).is_some()
         });
         if !keyed || seen.contains(&false) {
-            let claimed: BTreeSet<Label> = raw.terms.iter().map(|&(l, _)| l).collect();
+            let keys: BTreeSet<Label> = claimed.terms.iter().map(|&(l, _)| l).collect();
             let targets: BTreeSet<Label> = sys.terms.labels.iter().copied().collect();
             return Err(Refutation::Shape {
                 detail: format!(
-                    "terms table keyed on {claimed:?}, propagation targets are {targets:?}"
+                    "terms table keyed on {keys:?}, propagation targets are {targets:?}"
                 ),
             });
         }
         let bit = |c| sys.vals.clo_bit(c);
         let mut nodes = Rows::new(sys.nodes, sys.vals.len());
-        for (i, set) in raw.vars.iter().enumerate() {
+        for (i, set) in claimed.vars.iter().enumerate() {
             fill(&mut nodes, i, set, bit)?;
         }
-        for &(l, set) in &raw.terms {
-            fill(&mut nodes, sys.id(SNode::Term(l)), set, bit)?;
+        for (l, set) in &claimed.terms {
+            fill(&mut nodes, sys.id(SNode::Term(*l)), set, bit)?;
         }
-        let calls = claim_table("calls", &raw.calls, &sys.sites, sys.vals.len(), bit)?;
+        let calls = claim_table("calls", &claimed.calls, &sys.sites, sys.vals.len(), bit)?;
         Ok(SrcClaim { nodes, calls })
     }
 }
@@ -916,22 +889,18 @@ fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcClaim) -> Option<Refut
 
 /// Certifies a source-level 0CFA answer against `prog`.
 pub fn certify_cfa_src(prog: &AnfProgram, claimed: &CfaResult) -> Result<Certificate, Refutation> {
-    certify_src_claim(prog, &SrcRaw::of_result(claimed))
-}
-
-fn certify_src_claim(prog: &AnfProgram, raw: &SrcRaw<'_>) -> Result<Certificate, Refutation> {
     let num_vars = prog.num_vars();
-    if raw.vars.len() != num_vars {
+    if claimed.vars.len() != num_vars {
         return Err(Refutation::Shape {
             detail: format!(
                 "claimed {} variables, program has {}",
-                raw.vars.len(),
+                claimed.vars.len(),
                 num_vars
             ),
         });
     }
     let sys = SrcSystem::derive(prog);
-    let claim = SrcClaim::convert(&sys, raw)?;
+    let claim = SrcClaim::convert(&sys, claimed)?;
     if let Some(r) = src_closure_counterexample(&sys, &claim) {
         return Err(r);
     }
@@ -1140,42 +1109,6 @@ impl CpsSystem {
     }
 }
 
-/// A claimed CPS-shaped answer's tables, borrowed from whichever container
-/// it arrived in (an analyzer result or a cache mirror).
-struct CpsRaw<'a> {
-    vars: Vec<&'a BTreeSet<CpsFlow>>,
-    returns: Vec<(Label, &'a BTreeSet<AbsKont>)>,
-    calls: Vec<(Label, &'a BTreeSet<AbsClo>)>,
-}
-
-impl<'a> CpsRaw<'a> {
-    /// Over an analyzer result's tables (CPS 0CFA and pushdown share them).
-    fn of_result(
-        vars: &'a [Rc<BTreeSet<CpsFlow>>],
-        returns: &'a LabelTable<BTreeSet<AbsKont>>,
-        calls: &'a LabelTable<BTreeSet<AbsClo>>,
-    ) -> Self {
-        CpsRaw {
-            vars: vars.iter().map(|s| &**s).collect(),
-            returns: returns.iter().collect(),
-            calls: calls.iter().collect(),
-        }
-    }
-
-    /// Over a cache mirror's tables.
-    fn of_send(
-        vars: &'a [BTreeSet<CpsFlow>],
-        returns: &'a [(Label, BTreeSet<AbsKont>)],
-        calls: &'a [(Label, BTreeSet<AbsClo>)],
-    ) -> Self {
-        CpsRaw {
-            vars: vars.iter().collect(),
-            returns: returns.iter().map(|(l, s)| (*l, s)).collect(),
-            calls: calls.iter().map(|(l, s)| (*l, s)).collect(),
-        }
-    }
-}
-
 /// A claimed CPS-shaped answer (CPS 0CFA or pushdown) as rows.
 struct CpsClaim {
     vars: Rows,
@@ -1184,18 +1117,24 @@ struct CpsClaim {
 }
 
 impl CpsClaim {
-    fn convert(ix: &CpsIndex, raw: &CpsRaw<'_>) -> Result<CpsClaim, Refutation> {
+    /// Over the tables CPS 0CFA and pushdown answers share.
+    fn convert(
+        ix: &CpsIndex,
+        claimed_vars: &[BTreeSet<CpsFlow>],
+        returns: &[(Label, BTreeSet<AbsKont>)],
+        calls: &[(Label, BTreeSet<AbsClo>)],
+    ) -> Result<CpsClaim, Refutation> {
         let vals = &ix.vals;
-        let mut vars = Rows::new(raw.vars.len(), vals.len());
-        for (i, set) in raw.vars.iter().enumerate() {
+        let mut vars = Rows::new(claimed_vars.len(), vals.len());
+        for (i, set) in claimed_vars.iter().enumerate() {
             fill(&mut vars, i, set, |f| vals.flow_bit(f))?;
         }
         Ok(CpsClaim {
             vars,
-            returns: claim_table("returns", &raw.returns, &ix.ret_sites, vals.len(), |k| {
+            returns: claim_table("returns", returns, &ix.ret_sites, vals.len(), |k| {
                 vals.kont_bit(k)
             })?,
-            calls: claim_table("calls", &raw.calls, &ix.call_sites, vals.len(), |c| {
+            calls: claim_table("calls", calls, &ix.call_sites, vals.len(), |c| {
                 vals.clo_bit(c)
             })?,
         })
@@ -1440,16 +1379,9 @@ pub fn certify_cfa_cps(
     prog: &CpsProgram,
     claimed: &CpsCfaResult,
 ) -> Result<Certificate, Refutation> {
-    certify_cps_claim(
-        prog,
-        &CpsRaw::of_result(&claimed.vars, &claimed.returns, &claimed.calls),
-    )
-}
-
-fn certify_cps_claim(prog: &CpsProgram, raw: &CpsRaw<'_>) -> Result<Certificate, Refutation> {
-    vars_shape(raw.vars.len(), prog)?;
+    vars_shape(claimed.vars.len(), prog)?;
     let sys = CpsSystem::derive(prog);
-    let claim = CpsClaim::convert(&sys.ix, raw)?;
+    let claim = CpsClaim::convert(&sys.ix, &claimed.vars, &claimed.returns, &claimed.calls)?;
     if let Some(r) = cps_closure_counterexample(&sys, &claim) {
         return Err(r);
     }
@@ -1655,34 +1587,6 @@ impl PdSystem {
     }
 }
 
-/// A claimed pushdown answer: the CPS-shaped tables plus the matched
-/// witnesses.
-struct PdRaw<'a> {
-    st: CpsRaw<'a>,
-    matched: Vec<MatchedReturn>,
-}
-
-impl<'a> PdRaw<'a> {
-    fn of_result(r: &'a PushdownCfaResult) -> Self {
-        PdRaw {
-            st: CpsRaw::of_result(&r.vars, &r.returns, &r.calls),
-            matched: r.matched.iter().copied().collect(),
-        }
-    }
-
-    /// A cache mirror stores the witnesses as a list; they are sorted and
-    /// deduplicated once (16-byte `Copy` records, no flow sets).
-    fn of_send(s: &'a SendPushdown) -> Self {
-        let mut matched = s.matched.clone();
-        matched.sort_unstable();
-        matched.dedup();
-        PdRaw {
-            st: CpsRaw::of_send(&s.vars, &s.returns, &s.calls),
-            matched,
-        }
-    }
-}
-
 /// Least model of the re-derived pushdown system: the same semi-naive
 /// propagation over the static edges, with each (call, λ) pair instantiating
 /// the callee's return templates once, then the static continuation-variable
@@ -1882,18 +1786,19 @@ pub fn certify_pushdown(
     prog: &CpsProgram,
     claimed: &PushdownCfaResult,
 ) -> Result<Certificate, Refutation> {
-    certify_pd_claim(prog, &PdRaw::of_result(claimed))
-}
-
-fn certify_pd_claim(prog: &CpsProgram, raw: &PdRaw<'_>) -> Result<Certificate, Refutation> {
-    vars_shape(raw.st.vars.len(), prog)?;
+    vars_shape(claimed.vars.len(), prog)?;
     let sys = PdSystem::derive(prog)?;
-    let st = CpsClaim::convert(&sys.ix, &raw.st)?;
-    if let Some(r) = pd_closure_counterexample(&sys, &st, &raw.matched) {
+    let st = CpsClaim::convert(&sys.ix, &claimed.vars, &claimed.returns, &claimed.calls)?;
+    // The claimed witness list is untrusted: sort and deduplicate it once
+    // (16-byte `Copy` records, no flow sets) before checking it.
+    let mut matched = claimed.matched.clone();
+    matched.sort_unstable();
+    matched.dedup();
+    if let Some(r) = pd_closure_counterexample(&sys, &st, &matched) {
         return Err(r);
     }
     let lfp = pd_least_model(&sys);
-    if let Some(m) = raw.matched.iter().find(|m| !sys.matches(&lfp, m)) {
+    if let Some(m) = matched.iter().find(|m| !sys.matches(&lfp, m)) {
         return Err(Refutation::Unsupported {
             fact: format!("matched witness {m:?}"),
         });
@@ -1904,7 +1809,7 @@ fn certify_pd_claim(prog: &CpsProgram, raw: &PdRaw<'_>) -> Result<Certificate, R
     Ok(Certificate {
         kind: AnalysisKind::CfaPushdown,
         constraints: sys.constraints(),
-        facts: st.facts() + raw.matched.len(),
+        facts: st.facts() + matched.len(),
     })
 }
 
@@ -2063,19 +1968,12 @@ pub fn certify_mfp(
 /// Certifies any cached answer against the (already parsed) program it
 /// claims to solve. CPS-level answers re-derive the CPS program through the
 /// shared transform — the same front end the analyzers used. The cached
-/// sets are converted to the checker's rows once, not copied into an
-/// analyzer result first.
+/// sets are converted to the checker's rows once, in place.
 pub fn certify_answer(prog: &AnfProgram, answer: &CachedAnswer) -> Result<Certificate, Refutation> {
     match answer {
-        CachedAnswer::CfaSrc(s) => certify_src_claim(prog, &SrcRaw::of_send(s)),
-        CachedAnswer::CfaCps(s) => {
-            let cps = CpsProgram::from_anf(prog);
-            certify_cps_claim(&cps, &CpsRaw::of_send(&s.vars, &s.returns, &s.calls))
-        }
-        CachedAnswer::CfaPushdown(s) => {
-            let cps = CpsProgram::from_anf(prog);
-            certify_pd_claim(&cps, &PdRaw::of_send(s))
-        }
+        CachedAnswer::CfaSrc(r) => certify_cfa_src(prog, r),
+        CachedAnswer::CfaCps(r) => certify_cfa_cps(&CpsProgram::from_anf(prog), r),
+        CachedAnswer::CfaPushdown(r) => certify_pushdown(&CpsProgram::from_anf(prog), r),
         CachedAnswer::MfpFlat(s) => certify_mfp(prog, s),
     }
 }
@@ -2097,6 +1995,7 @@ pub fn certify_source(source: &str, answer: &CachedAnswer) -> Result<Certificate
 #[cfg(test)]
 mod kleene {
     use super::*;
+    use crate::labtab::LabelTable;
     use std::collections::BTreeMap;
 
     /// A source least model as sets: one per flow node, plus the call
@@ -2397,12 +2296,10 @@ mod kleene {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{SendCfa, SendCpsCfa};
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::pushdown::pushdown_cfa;
     use cpsdfa_workloads::families;
     use cpsdfa_workloads::random::{corpus, open_config};
-    use std::rc::Rc;
 
     const PROGRAMS: &[&str] = &[
         "(let (f (lambda (x) x)) (f f))",
@@ -2462,9 +2359,7 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
         let x = p.var_named("x").unwrap();
-        let mut poisoned = (*r.vars[x.index()]).clone();
-        poisoned.insert(AbsClo::Inc);
-        r.vars[x.index()] = Rc::new(poisoned);
+        r.vars[x.index()].insert(AbsClo::Inc);
         let err = certify_cfa_src(&p, &r).unwrap_err();
         assert!(
             matches!(
@@ -2480,7 +2375,7 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
         let f = p.var_named("f").unwrap();
-        r.vars[f.index()] = Rc::new(BTreeSet::new());
+        r.vars[f.index()] = BTreeSet::new();
         match certify_cfa_src(&p, &r).unwrap_err() {
             Refutation::Unclosed { edge, missing } => {
                 assert!(!edge.is_empty() && !missing.is_empty());
@@ -2493,10 +2388,7 @@ mod tests {
     fn dropped_call_edge_refutes() {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
-        let mut calls = (*r.calls).clone();
-        let site = calls.keys().next().unwrap();
-        calls.insert(site, BTreeSet::new());
-        r.calls = Rc::new(calls);
+        r.calls[0].1 = BTreeSet::new();
         assert!(certify_cfa_src(&p, &r).is_err());
     }
 
@@ -2525,25 +2417,20 @@ mod tests {
             s.insert(AbsClo::Lam(bogus));
             s
         };
-        r.vars = r.vars.iter().map(|s| Rc::new(forge(s))).collect();
-        r.terms = r
-            .terms
-            .iter()
-            .map(|(l, s)| (l, Rc::new(forge(s))))
-            .collect();
-        r.calls = Rc::new(r.calls.iter().map(|(l, s)| (l, forge(s))).collect());
+        r.vars = r.vars.iter().map(forge).collect();
+        r.terms = r.terms.iter().map(|(l, s)| (*l, forge(s))).collect();
+        r.calls = r.calls.iter().map(|(l, s)| (*l, forge(s))).collect();
         assert!(certify_cfa_src(&p, &r).is_err());
 
         let c = CpsProgram::from_anf(&p);
-        let forged: Vec<Rc<BTreeSet<CpsFlow>>> = zero_cfa_cps(&c)
+        let forged: Vec<BTreeSet<CpsFlow>> = zero_cfa_cps(&c)
             .unwrap()
             .vars
-            .iter()
-            .map(|s| {
-                let mut s = (**s).clone();
+            .into_iter()
+            .map(|mut s| {
                 s.insert(CpsFlow::Clo(AbsClo::Lam(bogus)));
                 s.insert(CpsFlow::Kont(AbsKont::Co(bogus)));
-                Rc::new(s)
+                s
             })
             .collect();
         let mut r = zero_cfa_cps(&c).unwrap();
@@ -2551,14 +2438,14 @@ mod tests {
         r.returns = r
             .returns
             .iter()
-            .map(|(l, s)| (l, s.iter().copied().chain([AbsKont::Co(bogus)]).collect()))
+            .map(|(l, s)| (*l, s.iter().copied().chain([AbsKont::Co(bogus)]).collect()))
             .collect();
-        r.calls = r.calls.iter().map(|(l, s)| (l, forge(s))).collect();
+        r.calls = r.calls.iter().map(|(l, s)| (*l, forge(s))).collect();
         assert!(certify_cfa_cps(&c, &r).is_err());
 
         let mut r = pushdown_cfa(&c).unwrap();
         r.vars = forged;
-        r.calls = r.calls.iter().map(|(l, s)| (l, forge(s))).collect();
+        r.calls = r.calls.iter().map(|(l, s)| (*l, forge(s))).collect();
         assert!(certify_pushdown(&c, &r).is_err());
     }
 
@@ -2570,9 +2457,9 @@ mod tests {
         let far = Label::new(u32::MAX - 1);
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let c = CpsProgram::from_anf(&p);
-        let src = SendCfa::from_result(&zero_cfa(&p).unwrap());
-        let cps = SendCpsCfa::from_result(&zero_cfa_cps(&c).unwrap());
-        let pd = SendPushdown::from_result(&pushdown_cfa(&c).unwrap());
+        let src = zero_cfa(&p).unwrap();
+        let cps = zero_cfa_cps(&c).unwrap();
+        let pd = pushdown_cfa(&c).unwrap();
         let clos = BTreeSet::from([AbsClo::Inc]);
         let konts = BTreeSet::from([AbsKont::Stop]);
         let mut forged = Vec::new();
@@ -2755,7 +2642,7 @@ mod tests {
         let src = "(let (f (lambda (x) x)) (f f))";
         let p = AnfProgram::parse(src).unwrap();
         let r = zero_cfa(&p).unwrap();
-        let ans = CachedAnswer::CfaSrc(crate::cache::SendCfa::from_result(&r));
+        let ans = CachedAnswer::CfaSrc(r);
         assert!(certify_answer(&p, &ans).is_ok());
         assert!(certify_source(src, &ans).is_ok());
         assert!(certify_source("(let (y 1) (add1 y))", &ans).is_err());

@@ -21,14 +21,16 @@
 //! ([`DeltaNodes`]), so a k-element set that grew by one costs one element
 //! of work, not k. While the fixpoint moves, node sets live as growth logs
 //! plus bitsets over [`DeltaNodes`]' dense value universe — each abstract
-//! closure is hashed once, then forwarded between nodes by index — and are
-//! interned into the hash-consed [`SetPool`] only at the commit point after
-//! convergence ([`DeltaNodes::commit_into`]). Two further cheats ride on
-//! the delta discipline: seed edges are applied directly to the store at
-//! setup instead of becoming constraints, and watching constraints are not
-//! posted initially — an empty watched node means the first firing would
-//! consume an empty delta, so [`WorklistSolver::node_grew`] posting on
-//! first growth is enough. The original dense formulations — full
+//! closure is hashed once, then forwarded between nodes by index — and
+//! become `BTreeSet`s only at the commit point after convergence
+//! ([`DeltaNodes::to_set`]). The committed result is the one answer value
+//! the fixpoint cache, the disk codec and the certifier read: owned sets and
+//! label-ordered tables, `Send + Sync`, with no handles into the solve. Two
+//! further cheats ride on the delta discipline: seed edges are applied
+//! directly to the store at setup instead of becoming constraints, and
+//! watching constraints are not posted initially — an empty watched node
+//! means the first firing would consume an empty delta, so
+//! [`WorklistSolver::node_grew`] posting on first growth is enough. The original dense formulations — full
 //! re-sweeps over the constraint list with `BTreeSet` clones on every
 //! propagation — are retained as [`zero_cfa_dense`] /
 //! [`zero_cfa_cps_dense`]: they are the measured baseline for the solver
@@ -51,7 +53,7 @@ use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
 use crate::labtab::{LabelLookup, LabelTable};
-use crate::setpool::{DeltaNodes, SetPool};
+use crate::setpool::DeltaNodes;
 use crate::solver::{ConstraintId, DeltaRange, SolverMode, WorklistSolver};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
@@ -59,23 +61,20 @@ use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTermKind, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
-/// The result of source-level 0CFA.
-#[derive(Debug, Clone)]
+/// The result of source-level 0CFA — also the value the fixpoint cache
+/// stores, the disk codec writes and the certifier checks. Tables hold
+/// their occupied entries in strictly increasing label order, so point
+/// lookups binary-search them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfaResult {
-    /// Closure set per variable. The sets are the hash-consed commit
-    /// handles of the run's [`SetPool`]: identical sets (every call site of
-    /// a function, say) share one allocation, and cloning a result is
-    /// handle-copying, not set-copying.
-    pub vars: Vec<Rc<BTreeSet<AbsClo>>>,
-    /// Closure set flowing out of each term (keyed by term label; dense).
-    /// Shared commit handles, as in [`CfaResult::vars`].
-    pub terms: LabelTable<Rc<BTreeSet<AbsClo>>>,
-    /// Call graph: call-site `let` label → applicable closures (dense).
-    /// `Rc`-shared like the flow sets, so the incremental noop rung hands
-    /// the previous graph on without deep-copying it.
-    pub calls: Rc<LabelTable<BTreeSet<AbsClo>>>,
+    /// Closure set per variable.
+    pub vars: Vec<BTreeSet<AbsClo>>,
+    /// Closure set flowing out of each propagation-target term, by term
+    /// label.
+    pub terms: Vec<(Label, BTreeSet<AbsClo>)>,
+    /// Call graph: call-site `let` label → applicable closures.
+    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
     /// Fixpoint work performed: constraint firings (sparse solver) or full
     /// sweeps (dense baseline). Always ≥ 1.
     pub iterations: u64,
@@ -84,7 +83,7 @@ pub struct CfaResult {
 impl CfaResult {
     /// The closure set of a variable.
     pub fn get(&self, v: VarId) -> &BTreeSet<AbsClo> {
-        self.vars[v.index()].as_ref()
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -275,20 +274,18 @@ impl NodeIndex {
     }
 
     /// Builds [`CfaResult::terms`] by committing every propagation-target
-    /// term node through `commit` — the one cache-construction path shared
-    /// by the sparse solver (pool handles) and the dense baseline (cloned
-    /// sets), which previously duplicated this block. Iterates in label
-    /// order, matching the old `BTreeSet<Label>` walk.
+    /// term node through `commit` — the one construction path shared by
+    /// the sparse solver and the dense baseline. Iterates in label order,
+    /// into a vector sized exactly (it outlives the solve in the daemon's
+    /// cache).
     fn commit_dst_terms(
         &self,
-        mut commit: impl FnMut(usize) -> Rc<BTreeSet<AbsClo>>,
-    ) -> LabelTable<Rc<BTreeSet<AbsClo>>> {
-        let mut terms = LabelTable::new(self.dst_flags.len() as u32);
-        for (i, &is_dst) in self.dst_flags.iter().enumerate() {
-            if is_dst {
-                let l = Label::new(i as u32);
-                terms.insert(l, commit(self.node(Node::Term(l))));
-            }
+        mut commit: impl FnMut(usize) -> BTreeSet<AbsClo>,
+    ) -> Vec<(Label, BTreeSet<AbsClo>)> {
+        let mut terms = Vec::with_capacity(self.dst_flags.iter().filter(|&&d| d).count());
+        for (i, _) in self.dst_flags.iter().enumerate().filter(|&(_, &d)| d) {
+            let l = Label::new(i as u32);
+            terms.push((l, commit(self.node(Node::Term(l)))));
         }
         terms
     }
@@ -409,13 +406,13 @@ pub fn zero_cfa(prog: &AnfProgram) -> Result<CfaResult, AnalysisError> {
     Ok(zero_cfa_instrumented(prog)?.0)
 }
 
-/// [`zero_cfa`] plus the solver/pool counters of the run.
+/// [`zero_cfa`] plus the solver counters of the run.
 pub fn zero_cfa_instrumented(prog: &AnfProgram) -> Result<(CfaResult, SolverStats), AnalysisError> {
     zero_cfa_traced(prog, AnalysisBudget::default(), &mut NoopSink)
 }
 
 /// [`zero_cfa`] with an explicit budget and a trace sink: the run executes
-/// inside a `cfa.src` span and flushes its solver/pool counters into the
+/// inside a `cfa.src` span and flushes its solver counters into the
 /// sink at the commit point (prefix `cfa.src`). Pass
 /// [`NoopSink`](crate::trace::NoopSink) for the zero-overhead path.
 pub fn zero_cfa_traced(
@@ -465,6 +462,18 @@ pub(crate) struct SrcSeed {
     pub(crate) terms: Vec<(Label, BTreeSet<AbsClo>)>,
     /// Pre-wired call graph: new site label → callees already discovered.
     pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
+}
+
+/// A call or return table at the commit point: its entries in label
+/// order, each set rebuilt by one bulk load. The sets grew by single
+/// inserts during the solve, which leaves their B-tree nodes about half
+/// full, and the committed answer outlives the solve in the daemon's cache.
+pub(crate) fn commit_table<T: Ord>(table: LabelTable<BTreeSet<T>>) -> Vec<(Label, BTreeSet<T>)> {
+    let mut entries = table.into_entries();
+    for (_, set) in &mut entries {
+        *set = std::mem::take(set).into_iter().collect();
+    }
+    entries
 }
 
 /// Makes constraint `c` watch node `src`. A `caught_up` watch starts past
@@ -658,24 +667,18 @@ pub(crate) fn zero_cfa_seeded(
         Ok(())
     })?;
 
-    // Commit point: intern each converged node set (deduping identical
-    // ones); the result holds the shared pool handles directly. The store
-    // commits in universe-index order, so no per-node sort happens.
-    let mut pool: SetPool<AbsClo> = SetPool::new();
-    let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Rc<BTreeSet<AbsClo>> {
-        let id = nodes.commit_into(node, pool);
-        pool.get_rc(id)
-    };
-    let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(|i| commit(i, &mut pool)).collect();
-    let terms = idx.commit_dst_terms(|node| commit(node, &mut pool));
-    let stats = solver.stats().with_pool(pool.stats());
+    // Commit point: each converged node becomes the owned set the result
+    // (and every cache, disk and certify reader after it) holds.
+    let vars = (0..idx.num_vars).map(|i| nodes.to_set(i)).collect();
+    let terms = idx.commit_dst_terms(|node| nodes.to_set(node));
+    let stats = solver.stats();
     stats.emit_into(sink, if warm { "cfa.src.warm" } else { "cfa.src" });
     let iterations = stats.fired.max(1);
     Ok(Some((
         CfaResult {
             vars,
             terms,
-            calls: Rc::new(calls),
+            calls: commit_table(calls),
             iterations,
         },
         stats,
@@ -777,15 +780,12 @@ pub fn zero_cfa_dense(prog: &AnfProgram) -> CfaResult {
         }
     }
 
-    let vars: Vec<Rc<BTreeSet<AbsClo>>> = values[..idx.num_vars]
-        .iter()
-        .map(|s| Rc::new(s.clone()))
-        .collect();
-    let terms = idx.commit_dst_terms(|node| Rc::new(values[node].clone()));
+    let terms = idx.commit_dst_terms(|node| values[node].clone());
+    values.truncate(idx.num_vars);
     CfaResult {
-        vars,
+        vars: values,
         terms,
-        calls: Rc::new(calls),
+        calls: calls.into_entries(),
         iterations,
     }
 }
@@ -799,16 +799,15 @@ pub enum CpsFlow {
     Kont(AbsKont),
 }
 
-/// The result of CPS-level 0CFA.
-#[derive(Debug, Clone)]
+/// The result of CPS-level 0CFA, label-ordered like [`CfaResult`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpsCfaResult {
-    /// Flow set per variable (both namespaces). Shared hash-consed commit
-    /// handles, as in [`CfaResult::vars`].
-    pub vars: Vec<Rc<BTreeSet<CpsFlow>>>,
-    /// Return sites `(k W)` → continuations invoked (dense by site label).
-    pub returns: LabelTable<BTreeSet<AbsKont>>,
-    /// Call sites → applicable closures (dense by site label).
-    pub calls: LabelTable<BTreeSet<AbsClo>>,
+    /// Flow set per variable (both namespaces).
+    pub vars: Vec<BTreeSet<CpsFlow>>,
+    /// Return sites `(k W)` → continuations invoked, by site label.
+    pub returns: Vec<(Label, BTreeSet<AbsKont>)>,
+    /// Call sites → applicable closures, by site label.
+    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
     /// Fixpoint work performed: constraint firings (sparse solver) or full
     /// sweeps (dense baseline). Always ≥ 1.
     pub iterations: u64,
@@ -817,7 +816,7 @@ pub struct CpsCfaResult {
 impl CpsCfaResult {
     /// The flow set of a variable.
     pub fn get(&self, v: CVarId) -> &BTreeSet<CpsFlow> {
-        self.vars[v.index()].as_ref()
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -831,8 +830,8 @@ impl CpsCfaResult {
     /// return.
     pub fn false_return_edges(&self) -> usize {
         self.returns
-            .values()
-            .map(|ks| {
+            .iter()
+            .map(|(_, ks)| {
                 ks.iter()
                     .filter(|k| matches!(k, AbsKont::Co(_)))
                     .count()
@@ -1162,7 +1161,7 @@ pub fn zero_cfa_cps(prog: &CpsProgram) -> Result<CpsCfaResult, AnalysisError> {
     Ok(zero_cfa_cps_instrumented(prog)?.0)
 }
 
-/// [`zero_cfa_cps`] plus the solver/pool counters of the run.
+/// [`zero_cfa_cps`] plus the solver counters of the run.
 pub fn zero_cfa_cps_instrumented(
     prog: &CpsProgram,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
@@ -1465,24 +1464,16 @@ pub(crate) fn zero_cfa_cps_seeded(
         Ok(())
     })?;
 
-    // Commit point: intern each converged node set (deduping identical
-    // ones); the result holds the shared pool handles directly. The store
-    // commits in universe-index order, so no per-node sort happens.
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
+    // Commit point: each converged node becomes an owned set.
+    let vars = (0..n).map(|i| nodes.to_set(i)).collect();
+    let stats = solver.stats();
     stats.emit_into(sink, if warm { "cfa.cps.warm" } else { "cfa.cps" });
     let iterations = stats.fired.max(1);
     Ok(Some((
         CpsCfaResult {
             vars,
-            returns,
-            calls,
+            returns: commit_table(returns),
+            calls: commit_table(calls),
             iterations,
         },
         stats,
@@ -1576,9 +1567,9 @@ pub fn zero_cfa_cps_dense(prog: &CpsProgram) -> CpsCfaResult {
     }
 
     CpsCfaResult {
-        vars: values.into_iter().map(Rc::new).collect(),
-        returns,
-        calls,
+        vars: values,
+        returns: returns.into_entries(),
+        calls: calls.into_entries(),
         iterations,
     }
 }
@@ -1686,7 +1677,7 @@ mod tests {
         let r = zero_cfa(&p).unwrap();
         let g = p.var_named("g").unwrap();
         assert!(r.get(g).contains(&AbsClo::Inc));
-        assert!(r.calls.values().next().unwrap().contains(&AbsClo::Inc));
+        assert!(r.calls[0].1.contains(&AbsClo::Inc));
     }
 
     #[test]
@@ -1735,8 +1726,6 @@ mod tests {
             stats.fired <= stats.posted,
             "a firing without a post slipped through"
         );
-        assert!(stats.pool_interned >= 1);
-        assert!(stats.pool_hit_rate() >= 0.0);
     }
 
     #[test]

@@ -26,9 +26,7 @@ use crate::absval::{AbsAnswer, AbsClo, AbsStore, AbsVal};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::domain::NumDomain;
 use crate::flow::FlowLog;
-use crate::govern::RunGuard;
 use crate::stats::AnalysisStats;
-use crate::trace::{self, TraceSink};
 use cpsdfa_anf::{AVal, AValKind, Anf, AnfKind, AnfProgram, Bind, LambdaRef, VarId};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -72,7 +70,6 @@ pub struct DirectAnalyzer<'p, D: NumDomain> {
     lambdas: HashMap<Label, LambdaRef<'p>>,
     clo_top: BTreeSet<AbsClo>,
     budget: AnalysisBudget,
-    guard: Option<RunGuard>,
     seeds: Vec<(VarId, AbsVal<D>)>,
     dup_depth: u32,
 }
@@ -88,7 +85,6 @@ impl<'p, D: NumDomain> DirectAnalyzer<'p, D> {
             lambdas: prog.lambdas(),
             clo_top: clo_top_of(prog),
             budget: AnalysisBudget::default(),
-            guard: None,
             seeds: Vec::new(),
             dup_depth: 0,
         }
@@ -99,24 +95,6 @@ impl<'p, D: NumDomain> DirectAnalyzer<'p, D> {
     pub fn with_budget(mut self, budget: AnalysisBudget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// Attaches a [`RunGuard`]: goal charges flow through the guard (which
-    /// also enforces deadlines, memory ceilings, and cancellation) instead
-    /// of the plain goal budget.
-    #[must_use]
-    pub fn with_guard(mut self, guard: &RunGuard) -> Self {
-        self.guard = Some(guard.clone());
-        self
-    }
-
-    /// Charges one goal: through the attached guard when present, else
-    /// against the plain budget using the caller's running `goals` count.
-    fn charge(&self, goals: u64) -> Result<(), AnalysisError> {
-        match &self.guard {
-            Some(g) => g.charge(1),
-            None => self.budget.check(goals),
-        }
     }
 
     /// Overrides the initial abstract value of a (typically free) variable.
@@ -158,23 +136,6 @@ impl<'p, D: NumDomain> DirectAnalyzer<'p, D> {
     /// [`AnalysisError::BudgetExhausted`] if the goal budget runs out.
     pub fn analyze(&self) -> Result<DirectResult<D>, AnalysisError> {
         self.analyze_from(self.initial_store())
-    }
-
-    /// [`analyze`](DirectAnalyzer::analyze) under a `direct` span, with the
-    /// cost counters flushed into `sink` when the run completes.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisError::BudgetExhausted`] if the goal budget runs out.
-    pub fn analyze_traced(
-        &self,
-        sink: &mut impl TraceSink,
-    ) -> Result<DirectResult<D>, AnalysisError> {
-        trace::with_span(sink, "direct", |sink| {
-            let res = self.analyze()?;
-            res.stats.emit_into(sink, "direct");
-            Ok(res)
-        })
     }
 
     /// Runs the analysis from an explicit initial store (used by the
@@ -263,7 +224,7 @@ impl<'p, D: NumDomain> Run<'_, 'p, D> {
     ) -> Result<AbsAnswer<D>, AnalysisError> {
         self.depth += 1;
         self.stats.enter_goal(self.depth);
-        self.a.charge(self.stats.goals)?;
+        self.a.budget.check(self.stats.goals)?;
 
         let key = (m.label, store.clone());
         if self.path.contains(&key) {

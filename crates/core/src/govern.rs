@@ -11,13 +11,12 @@
 //! two layers:
 //!
 //! * [`RunGuard`] — one charge point combining the goal budget with a
-//!   wall-clock [`Deadline`], an arena/set-pool memory ceiling, a shared
-//!   atomic [`CancelToken`], and an optional injected
+//!   wall-clock [`Deadline`], a memory ceiling on the solver's value
+//!   store, a shared atomic [`CancelToken`], and an optional injected
 //!   [`FaultPlan`](crate::faultinject::FaultPlan). The
 //!   [`WorklistSolver`](crate::solver::WorklistSolver) charges every
-//!   constraint firing and the three abstract interpreters charge every
-//!   goal through the same guard, so all resources are enforced uniformly
-//!   on every fixpoint path.
+//!   constraint firing through the guard, so all resources are enforced
+//!   uniformly on every governed fixpoint path (the CFA ladders and MFP).
 //! * [`DegradationLadder`] — on resource exhaustion (or an isolated
 //!   panic), retry the request at the next-coarser rung and return a
 //!   [`Governed`] answer carrying a machine-readable
@@ -28,22 +27,18 @@
 //!
 //! Degradation trades precision, never soundness. Each rung of the
 //! canonical ladders satisfies the §4.3 correctness criterion on its own:
-//! if a variable is bound to a value along any concrete execution, the
-//! rung's abstract result contains it. The direct-style analysis is sound
-//! for the direct semantics (Theorem 4.2's construction); falling from a
-//! CPS-based rung to it only *widens* answers (§5: the CPS analyses refine
-//! direct-style answers, so the direct answer over-approximates both), and
-//! narrowing the domain (`PowerSet<8>` → `Flat`) is a Galois-connected
-//! coarsening — again an over-approximation. A degraded answer is therefore
-//! still a safe answer, just a less precise one.
+//! if a closure reaches a variable along any concrete execution, the
+//! rung's flow set contains it. Source-level 0CFA is sound for the direct
+//! semantics, and the CPS rungs are sound through the CPS transform's
+//! meaning preservation. Each fall down a ladder only *widens* answers
+//! (every pushdown flow set is a subset of its CPS 0CFA counterpart; see
+//! [`governed_pushdown_cfa`]). A degraded answer is therefore still a safe
+//! answer, just a less precise one.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::cfa::{self, CfaResult, CpsCfaResult};
-use crate::direct::{DirectAnalyzer, DirectResult};
-use crate::domain::{Flat, PowerSet};
 use crate::faultinject::FaultPlan;
 use crate::pushdown::{self, PushdownCfaResult};
-use crate::semcps::{SemCpsAnalyzer, SemCpsResult};
 use crate::solver::SolverMode;
 use crate::trace::TraceSink;
 use cpsdfa_anf::AnfProgram;
@@ -129,9 +124,9 @@ impl Deadline {
 }
 
 /// The shared interior of a [`RunGuard`]. Counters are [`Cell`]s because
-/// every fixpoint engine in this crate is single-threaded by construction
-/// (the set pools are `Rc`-based and `!Sync`); the one cross-thread
-/// channel, cancellation, goes through the atomic [`CancelToken`].
+/// every fixpoint engine in this crate runs one solve on one thread; the
+/// one cross-thread channel, cancellation, goes through the atomic
+/// [`CancelToken`].
 #[derive(Debug, Clone)]
 struct GuardState {
     budget: AnalysisBudget,
@@ -156,11 +151,10 @@ struct GuardState {
 /// The unified charge point for every governed resource.
 ///
 /// One guard governs one request end to end: the solver charges a unit per
-/// constraint firing, the abstract interpreters a unit per goal, and the
-/// CFA drivers report their arena footprint through
+/// constraint firing, and the CFA drivers report their value-store
+/// footprint through
 /// [`charge_memory`](RunGuard::charge_memory). Cloning is cheap and
-/// *shares* the counters (the clone is a handle, not a fresh guard) — this
-/// is how analyzers hold the guard across builder boundaries.
+/// *shares* the counters (the clone is a handle, not a fresh guard).
 #[derive(Debug, Clone)]
 pub struct RunGuard {
     state: Rc<GuardState>,
@@ -204,7 +198,7 @@ impl RunGuard {
         self
     }
 
-    /// Adds a ceiling (bytes) on the arena/set-pool footprint reported via
+    /// Adds a ceiling (bytes) on the value-store footprint reported via
     /// [`charge_memory`](RunGuard::charge_memory).
     #[must_use]
     pub fn with_memory_limit(mut self, limit_bytes: u64) -> Self {
@@ -323,9 +317,9 @@ impl RunGuard {
         Ok(())
     }
 
-    /// Reports the current arena/set-pool footprint and enforces the
-    /// memory ceiling. Also tracks the peak, which the `pipeline.*`/pool
-    /// gauges and the [`DegradationReport`] surface.
+    /// Reports the current value-store footprint and enforces the memory
+    /// ceiling. Also tracks the peak, which the `pipeline.*` gauges and the
+    /// [`DegradationReport`] surface.
     #[inline]
     pub fn charge_memory(&self, bytes: u64) -> Result<(), AnalysisError> {
         let s = &*self.state;
@@ -426,7 +420,7 @@ impl GovernPolicy {
         self
     }
 
-    /// Sets the arena/set-pool memory ceiling in bytes.
+    /// Sets the value-store memory ceiling in bytes.
     #[must_use]
     pub fn with_memory_limit(mut self, limit_bytes: u64) -> Self {
         self.memory_limit = Some(limit_bytes);
@@ -856,74 +850,6 @@ pub fn governed_pushdown_cfa(
         .run(&guard, sink)
 }
 
-/// The answer of the governed value-analysis ladder, finest rung first.
-#[derive(Debug, Clone)]
-pub enum ValueAnswer {
-    /// The semantic-CPS analysis over `PowerSet<8>` — the paper's most
-    /// precise (and most explosive, §6.2) configuration.
-    SemCps(SemCpsResult<PowerSet<8>>),
-    /// Direct-style over `PowerSet<8>`: merges at conditionals/calls
-    /// instead of duplicating continuations (§5 sound over-approximation
-    /// of the semantic-CPS answer).
-    Direct(DirectResult<PowerSet<8>>),
-    /// Direct-style over `Flat`: the domain itself coarsened to
-    /// constant-or-⊤ — the cheapest sound rung.
-    DirectFlat(DirectResult<Flat>),
-}
-
-/// The paper's value analysis under full governance: semantic-CPS
-/// `PowerSet<8>` → direct `PowerSet<8>` → direct `Flat`.
-///
-/// Rung soundness: each configuration independently satisfies §4.3 (the
-/// workspace property tests check all of them against concrete runs);
-/// direct-style over-approximates semantic-CPS by Theorem 5.4's
-/// refinement direction, and `Flat` over-approximates `PowerSet<8>`
-/// pointwise (`abstract PowerSet` ⊑ γ∘α into `Flat`), so every fall down
-/// the ladder only widens answers.
-///
-/// # Errors
-///
-/// Only when every rung trips (or the request is cancelled).
-pub fn governed_semcps(
-    prog: &AnfProgram,
-    policy: &GovernPolicy,
-    sink: &mut impl TraceSink,
-) -> Result<Governed<ValueAnswer>, AnalysisError> {
-    let guard = policy.guard();
-    DegradationLadder::new()
-        .rung(
-            "semcps.pow8",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::SemCps(
-                    SemCpsAnalyzer::<PowerSet<8>>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .rung(
-            "direct.pow8",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::Direct(
-                    DirectAnalyzer::<PowerSet<8>>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .rung(
-            "direct.flat",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::DirectFlat(
-                    DirectAnalyzer::<Flat>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .run(&guard, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1148,35 +1074,5 @@ mod tests {
         assert!(!governed.report.degraded());
         assert!(matches!(governed.value, CfaAnswer::Cps(_)));
         assert_eq!(governed.report.answered_by(), Some("cfa.cps"));
-    }
-
-    #[test]
-    fn governed_semcps_degrades_domain_and_style() {
-        // A budget too small for the semantic-CPS rung but ample for the
-        // direct rungs: the ladder answers at `direct.pow8`.
-        let p = AnfProgram::parse(
-            "(let (f (lambda (x) (if0 x 10 20))) (let (a (f 0)) (let (b (f 3)) b)))",
-        )
-        .unwrap();
-        let semcps_goals = SemCpsAnalyzer::<PowerSet<8>>::new(&p)
-            .analyze()
-            .expect("un-governed semantic-CPS run converges")
-            .stats
-            .goals;
-        let direct_goals = DirectAnalyzer::<PowerSet<8>>::new(&p)
-            .analyze()
-            .expect("un-governed direct run converges")
-            .stats
-            .goals;
-        assert!(
-            direct_goals < semcps_goals,
-            "continuation duplication must cost extra goals on this program"
-        );
-        // Exactly enough for the direct rung, strictly short for semcps.
-        let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(direct_goals));
-        let governed = governed_semcps(&p, &policy, &mut crate::trace::NoopSink)
-            .expect("a direct rung answers");
-        assert!(governed.report.degraded());
-        assert!(!matches!(governed.value, ValueAnswer::SemCps(_)));
     }
 }

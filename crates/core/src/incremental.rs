@@ -16,8 +16,8 @@
 //! 1. **Noop** — the alignment is a pure identity (same structure, same
 //!    variable/label spaces; constants and names may differ). The
 //!    constraint graph of 0CFA is invariant under constant and name
-//!    changes, so the previous result is reused outright (`Rc` handle
-//!    clones, zero constraints fired).
+//!    changes, so the previous result is reused outright (one clone, zero
+//!    constraints fired).
 //! 2. **Seeded** — anything else the aligner can map: a changed constraint
 //!    set (e.g. a constant replaced by a variable occurrence), inserted or
 //!    deleted bindings, or rewritten subtrees ("regions"). The previous
@@ -51,6 +51,7 @@ use crate::cfa::{
 };
 use crate::domain::Flat;
 use crate::govern::RunGuard;
+use crate::labtab::label_entry;
 use crate::mfp::DfSummary;
 use crate::pushdown::{pushdown_cfa_seeded, PushdownCfaResult};
 use crate::stats::SolverStats;
@@ -74,8 +75,9 @@ pub enum ColdReason {
     /// A transported flow value referred to a λ or continuation whose
     /// label did not survive the edit.
     UnmappedFlow,
-    /// The programs did not align well enough to build a seed (or the
-    /// seeded solver rejected the seed's shape).
+    /// The programs did not align well enough to build a seed, the seeded
+    /// solver rejected the seed's shape, or the previous answer does not
+    /// fit the old program.
     StructureMismatch,
     /// Constants changed under a constant-sensitive analysis (MFP over
     /// [`Flat`] is not monotone in the program's constants).
@@ -838,6 +840,112 @@ pub fn align_cps(old: &CpsProgram, new: &CpsProgram) -> Alignment {
 }
 
 // ---------------------------------------------------------------------------
+// Fit of a previous answer
+// ---------------------------------------------------------------------------
+
+/// The labels of one program that a fixpoint of it can mention. A previous
+/// answer reaches the drivers from the cache, and a session journal read
+/// back from disk is never certified, so every label in it is checked
+/// against the old program before the alignment's tables are indexed
+/// with it.
+struct LabelSpace {
+    count: u32,
+    lam: Vec<bool>,
+    cont: Vec<bool>,
+}
+
+fn label_flags(count: u32, labels: &[Label]) -> Vec<bool> {
+    let mut flags = vec![false; count as usize];
+    for l in labels {
+        let i = l.index() as usize;
+        if i >= flags.len() {
+            flags.resize(i + 1, false);
+        }
+        flags[i] = true;
+    }
+    flags
+}
+
+impl LabelSpace {
+    fn new(count: u32, lams: &[Label], conts: &[Label]) -> LabelSpace {
+        LabelSpace {
+            count,
+            lam: label_flags(count, lams),
+            cont: label_flags(count, conts),
+        }
+    }
+
+    fn key(&self, l: Label) -> bool {
+        l.index() < self.count
+    }
+
+    /// A closure value names one of the program's λs (or a primitive).
+    fn clo(&self, c: &AbsClo) -> bool {
+        match c {
+            AbsClo::Lam(l) => self.lam.get(l.index() as usize) == Some(&true),
+            _ => true,
+        }
+    }
+
+    /// A continuation value names one of the program's continuation λs
+    /// (or the halt continuation).
+    fn kont(&self, k: &AbsKont) -> bool {
+        match k {
+            AbsKont::Co(l) => self.cont.get(l.index() as usize) == Some(&true),
+            AbsKont::Stop => true,
+        }
+    }
+
+    fn flow(&self, f: &CpsFlow) -> bool {
+        match f {
+            CpsFlow::Clo(c) => self.clo(c),
+            CpsFlow::Kont(k) => self.kont(k),
+        }
+    }
+
+    fn sets<T>(&self, sets: &[BTreeSet<T>], ok: impl Fn(&Self, &T) -> bool) -> bool {
+        sets.iter().all(|s| s.iter().all(|v| ok(self, v)))
+    }
+
+    /// Keys in range and strictly increasing (the lookups binary-search),
+    /// values naming entities of the program.
+    fn table<T>(&self, table: &[(Label, BTreeSet<T>)], ok: impl Fn(&Self, &T) -> bool) -> bool {
+        table.windows(2).all(|w| w[0].0 < w[1].0)
+            && table
+                .iter()
+                .all(|(l, s)| self.key(*l) && s.iter().all(|v| ok(self, v)))
+    }
+}
+
+/// Whether `prev` has the shape of a source-level fixpoint of `old`.
+fn src_fits(prev: &CfaResult, old: &AnfProgram) -> bool {
+    let sp = LabelSpace::new(old.label_count(), old.lambda_labels(), &[]);
+    prev.vars.len() == old.num_vars()
+        && sp.sets(&prev.vars, LabelSpace::clo)
+        && sp.table(&prev.terms, LabelSpace::clo)
+        && sp.table(&prev.calls, LabelSpace::clo)
+}
+
+/// Whether CPS-level tables have the shape of a fixpoint of `old` (CPS
+/// 0CFA and pushdown share them).
+fn cps_fits(
+    vars: &[BTreeSet<CpsFlow>],
+    returns: &[(Label, BTreeSet<AbsKont>)],
+    calls: &[(Label, BTreeSet<AbsClo>)],
+    old: &CpsProgram,
+    sp: &LabelSpace,
+) -> bool {
+    vars.len() == old.num_vars()
+        && sp.sets(vars, LabelSpace::flow)
+        && sp.table(returns, LabelSpace::kont)
+        && sp.table(calls, LabelSpace::clo)
+}
+
+fn cps_space(old: &CpsProgram) -> LabelSpace {
+    LabelSpace::new(old.label_count(), old.lambda_labels(), old.cont_labels())
+}
+
+// ---------------------------------------------------------------------------
 // Seed transport
 // ---------------------------------------------------------------------------
 
@@ -890,7 +998,9 @@ fn check_src_boundaries(prev: &CfaResult, al: &Alignment) -> Result<(), ColdReas
     for c in &al.checks {
         let ok = match c {
             Boundary::VarEmpty(v) => prev.vars[*v as usize].is_empty(),
-            Boundary::SiteEmpty(l) => prev.calls.get(Label::new(*l)).is_none_or(|s| s.is_empty()),
+            Boundary::SiteEmpty(l) => {
+                label_entry(&prev.calls, Label::new(*l)).is_none_or(|s| s.is_empty())
+            }
             Boundary::RetEmpty(_) | Boundary::Never => false,
         };
         if !ok {
@@ -918,12 +1028,12 @@ pub(crate) fn build_src_seed(
             return Err(ColdReason::NonMonotone);
         }
     }
-    for (l, set) in prev.terms.iter() {
+    for (l, set) in &prev.terms {
         if !set.is_empty() && al.label_map[l.index() as usize].is_none() {
             return Err(ColdReason::NonMonotone);
         }
     }
-    for (l, set) in prev.calls.iter() {
+    for (l, set) in &prev.calls {
         if !set.is_empty() && al.label_map[l.index() as usize].is_none() {
             return Err(ColdReason::NonMonotone);
         }
@@ -938,7 +1048,7 @@ pub(crate) fn build_src_seed(
         }
     }
     let mut terms = Vec::new();
-    for (l, set) in prev.terms.iter() {
+    for (l, set) in &prev.terms {
         if set.is_empty() {
             continue;
         }
@@ -947,7 +1057,7 @@ pub(crate) fn build_src_seed(
         }
     }
     let mut calls = Vec::new();
-    for (l, set) in prev.calls.iter() {
+    for (l, set) in &prev.calls {
         if set.is_empty() {
             continue;
         }
@@ -962,11 +1072,12 @@ fn check_cps_boundaries(prev: &CpsCfaResult, al: &Alignment) -> Result<(), ColdR
     for c in &al.checks {
         let ok = match c {
             Boundary::VarEmpty(v) => prev.vars[*v as usize].is_empty(),
-            Boundary::SiteEmpty(l) => prev.calls.get(Label::new(*l)).is_none_or(|s| s.is_empty()),
-            Boundary::RetEmpty(l) => prev
-                .returns
-                .get(Label::new(*l))
-                .is_none_or(|s| s.is_empty()),
+            Boundary::SiteEmpty(l) => {
+                label_entry(&prev.calls, Label::new(*l)).is_none_or(|s| s.is_empty())
+            }
+            Boundary::RetEmpty(l) => {
+                label_entry(&prev.returns, Label::new(*l)).is_none_or(|s| s.is_empty())
+            }
             Boundary::Never => false,
         };
         if !ok {
@@ -991,12 +1102,12 @@ pub(crate) fn build_cps_seed(
             return Err(ColdReason::NonMonotone);
         }
     }
-    for (l, set) in prev.returns.iter() {
+    for (l, set) in &prev.returns {
         if !set.is_empty() && al.label_map[l.index() as usize].is_none() {
             return Err(ColdReason::NonMonotone);
         }
     }
-    for (l, set) in prev.calls.iter() {
+    for (l, set) in &prev.calls {
         if !set.is_empty() && al.label_map[l.index() as usize].is_none() {
             return Err(ColdReason::NonMonotone);
         }
@@ -1010,7 +1121,7 @@ pub(crate) fn build_cps_seed(
         }
     }
     let mut returns = Vec::new();
-    for (l, set) in prev.returns.iter() {
+    for (l, set) in &prev.returns {
         if set.is_empty() {
             continue;
         }
@@ -1019,7 +1130,7 @@ pub(crate) fn build_cps_seed(
         }
     }
     let mut calls = Vec::new();
-    for (l, set) in prev.calls.iter() {
+    for (l, set) in &prev.calls {
         if set.is_empty() {
             continue;
         }
@@ -1058,8 +1169,11 @@ fn seeded_answer<T>(
 
 /// Source-level 0CFA across an edit: `prev` must be the fixpoint of `old`.
 /// Returns a warm answer bit-identical to `zero_cfa(new)`, or a
-/// [`ColdReason`] instructing the caller to solve cold. The guard bounds
-/// the warm attempt only — budget exhaustion is reported as
+/// [`ColdReason`] instructing the caller to solve cold. A `prev` that does
+/// not fit `old` (a variable count other than `old`'s, a table key outside
+/// its labels, a flow value naming no λ of it) is
+/// [`ColdReason::StructureMismatch`]. The guard bounds the warm attempt
+/// only — budget exhaustion is reported as
 /// [`ColdReason::BudgetExhausted`], never as an error.
 pub fn zero_cfa_incremental(
     old: &AnfProgram,
@@ -1068,13 +1182,14 @@ pub fn zero_cfa_incremental(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<WarmSolve<CfaResult>, AnalysisError> {
+    if !src_fits(prev, old) {
+        return Ok(WarmSolve::Cold(ColdReason::StructureMismatch));
+    }
     let al = align_anf(old, new);
     if al.identity() {
         let result = CfaResult {
-            vars: prev.vars.clone(),
-            terms: prev.terms.clone(),
-            calls: prev.calls.clone(),
             iterations: 1,
+            ..prev.clone()
         };
         return Ok(WarmSolve::Warm(result, WarmReport::warm(WarmPath::Noop, 0)));
     }
@@ -1086,7 +1201,7 @@ pub fn zero_cfa_incremental(
 }
 
 /// CPS-level 0CFA across an edit (the CPS mirror of
-/// [`zero_cfa_incremental`]).
+/// [`zero_cfa_incremental`], with the same fit check).
 pub fn zero_cfa_cps_incremental(
     old: &CpsProgram,
     prev: &CpsCfaResult,
@@ -1094,13 +1209,14 @@ pub fn zero_cfa_cps_incremental(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<WarmSolve<CpsCfaResult>, AnalysisError> {
+    if !cps_fits(&prev.vars, &prev.returns, &prev.calls, old, &cps_space(old)) {
+        return Ok(WarmSolve::Cold(ColdReason::StructureMismatch));
+    }
     let al = align_cps(old, new);
     if al.identity() {
         let result = CpsCfaResult {
-            vars: prev.vars.clone(),
-            returns: prev.returns.clone(),
-            calls: prev.calls.clone(),
             iterations: 1,
+            ..prev.clone()
         };
         return Ok(WarmSolve::Warm(result, WarmReport::warm(WarmPath::Noop, 0)));
     }
@@ -1115,7 +1231,9 @@ pub fn zero_cfa_cps_incremental(
 /// **user-variable** sets — the call/return/summary machinery is re-derived
 /// by the solve, so eligibility is stricter: every old entity must survive
 /// and nothing may be rewritten (pure insertions are fine; they only grow
-/// the fixpoint).
+/// the fixpoint). A `prev` that does not fit `old` — as for
+/// [`zero_cfa_incremental`], plus matched witnesses outside `old`'s labels
+/// — is [`ColdReason::StructureMismatch`].
 pub fn pushdown_cfa_incremental(
     old: &CpsProgram,
     prev: &PushdownCfaResult,
@@ -1123,6 +1241,16 @@ pub fn pushdown_cfa_incremental(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<WarmSolve<PushdownCfaResult>, AnalysisError> {
+    let sp = cps_space(old);
+    let fits = cps_fits(&prev.vars, &prev.returns, &prev.calls, old, &sp)
+        && prev.matched.iter().all(|m| {
+            [m.ret_site, m.callee, m.call_site, m.cont]
+                .into_iter()
+                .all(|l| sp.key(l))
+        });
+    if !fits {
+        return Ok(WarmSolve::Cold(ColdReason::StructureMismatch));
+    }
     let al = align_cps(old, new);
     if al.identity() {
         let mut result = prev.clone();
@@ -1207,4 +1335,110 @@ pub fn pushdown_cfa_warm(
 ) -> Result<WarmSolve<PushdownCfaResult>, AnalysisError> {
     let guard = RunGuard::new(AnalysisBudget::default());
     pushdown_cfa_incremental(old, prev, new, &guard, &mut NoopSink)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cfa::{zero_cfa, zero_cfa_cps};
+    use crate::pushdown::pushdown_cfa;
+    use cpsdfa_syntax::build::{let_, num};
+    use cpsdfa_workloads::families;
+
+    /// `dispatch(3)` and the same program under a fresh top-level binding:
+    /// a pure insertion every CFA driver warm-starts from a true fixpoint.
+    fn edit() -> (AnfProgram, AnfProgram) {
+        let base = families::dispatch(3);
+        let edited = let_("fresh", num(7), base.clone());
+        (AnfProgram::from_term(&base), AnfProgram::from_term(&edited))
+    }
+
+    /// Forges a copy of `prev` with `forge` and asserts that the driver
+    /// `warm` declines it as not fitting the old program.
+    fn refuses<R: Clone, W>(
+        prev: &R,
+        warm: impl Fn(&R) -> WarmSolve<W>,
+        name: &str,
+        forge: impl FnOnce(&mut R),
+    ) {
+        let mut bad = prev.clone();
+        forge(&mut bad);
+        assert!(
+            matches!(warm(&bad), WarmSolve::Cold(ColdReason::StructureMismatch)),
+            "{name}"
+        );
+    }
+
+    #[test]
+    fn src_driver_refuses_an_answer_that_does_not_fit_the_old_program() {
+        let (old, new) = edit();
+        let prev = zero_cfa(&old).unwrap();
+        let warm = |r: &CfaResult| zero_cfa_warm(&old, r, &new).unwrap();
+        assert!(matches!(warm(&prev), WarmSolve::Warm(..)));
+        let far = Label::new(old.label_count() + 5);
+        let non_lambda = prev.terms[0].0;
+        refuses(&prev, warm, "short vars", |r| {
+            r.vars.pop();
+        });
+        refuses(&prev, warm, "far terms key", |r| {
+            r.terms.push((far, BTreeSet::new()))
+        });
+        refuses(&prev, warm, "far calls key", |r| {
+            r.calls.push((far, BTreeSet::from([AbsClo::Inc])))
+        });
+        refuses(&prev, warm, "far closure", |r| {
+            r.vars[0].insert(AbsClo::Lam(far));
+        });
+        // In range but no λ: seeded into every variable, it reaches a call
+        // site, where the solver would wire it through `UNINDEXED` nodes.
+        refuses(&prev, warm, "closure of a non-λ", |r| {
+            for set in &mut r.vars {
+                set.insert(AbsClo::Lam(non_lambda));
+            }
+        });
+        // Keys out of order would mislead the binary-searched lookups.
+        refuses(&prev, warm, "terms out of order", |r| r.terms.swap(0, 1));
+    }
+
+    #[test]
+    fn cps_driver_refuses_an_answer_that_does_not_fit_the_old_program() {
+        let (old, new) = edit();
+        let (old, new) = (CpsProgram::from_anf(&old), CpsProgram::from_anf(&new));
+        let prev = zero_cfa_cps(&old).unwrap();
+        let warm = |r: &CpsCfaResult| zero_cfa_cps_warm(&old, r, &new).unwrap();
+        assert!(matches!(warm(&prev), WarmSolve::Warm(..)));
+        let far = Label::new(old.label_count() + 5);
+        refuses(&prev, warm, "long vars", |r| r.vars.push(BTreeSet::new()));
+        refuses(&prev, warm, "far returns key", |r| {
+            r.returns.push((far, BTreeSet::from([AbsKont::Stop])))
+        });
+        refuses(&prev, warm, "far continuation", |r| {
+            r.vars[0].insert(CpsFlow::Kont(AbsKont::Co(far)));
+        });
+        refuses(&prev, warm, "far closure in calls", |r| {
+            r.calls[0].1.insert(AbsClo::Lam(far));
+        });
+    }
+
+    #[test]
+    fn pushdown_driver_refuses_an_answer_that_does_not_fit_the_old_program() {
+        let (old, new) = edit();
+        let (old, new) = (CpsProgram::from_anf(&old), CpsProgram::from_anf(&new));
+        let prev = pushdown_cfa(&old).unwrap();
+        let warm = |r: &PushdownCfaResult| pushdown_cfa_warm(&old, r, &new).unwrap();
+        assert!(matches!(warm(&prev), WarmSolve::Warm(..)));
+        let far = Label::new(old.label_count() + 5);
+        refuses(&prev, warm, "short vars", |r| {
+            r.vars.pop();
+        });
+        refuses(&prev, warm, "far calls key", |r| {
+            r.calls.push((far, BTreeSet::new()))
+        });
+        refuses(&prev, warm, "far closure", |r| {
+            r.vars[0].insert(CpsFlow::Clo(AbsClo::Lam(far)));
+        });
+        refuses(&prev, warm, "far matched witness", |r| {
+            r.matched[0].cont = far
+        });
+    }
 }

@@ -83,6 +83,20 @@ impl<T> LabelTable<T> {
             .filter_map(|(i, s)| s.as_ref().map(|v| (Label::new(i as u32), v)))
     }
 
+    /// Consumes the table into its occupied entries in ascending label
+    /// order — the label-ordered form the CFA results commit. The vector
+    /// is sized exactly: it outlives the solve in the daemon's cache.
+    pub(crate) fn into_entries(self) -> Vec<(Label, T)> {
+        let mut entries = Vec::with_capacity(self.occupied);
+        entries.extend(
+            self.slots
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.map(|v| (Label::new(i as u32), v))),
+        );
+        entries
+    }
+
     /// Occupied values in ascending label order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(Option::as_ref)
@@ -119,6 +133,15 @@ impl<T> FromIterator<(Label, T)> for LabelTable<T> {
         }
         t
     }
+}
+
+/// The value at `l` in label-ordered entries (strictly increasing labels,
+/// as the CFA result tables hold them), found by binary search.
+pub(crate) fn label_entry<T>(entries: &[(Label, T)], l: Label) -> Option<&T> {
+    entries
+        .binary_search_by_key(&l, |&(k, _)| k)
+        .ok()
+        .map(|i| &entries[i].1)
 }
 
 /// A dense partial map from [`Label`] to `Copy` references (λ and
@@ -198,6 +221,17 @@ mod tests {
         assert_eq!(t.insert(Label::new(9), 4), Some(3));
         assert_eq!(t.get(Label::new(9)), Some(&4));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn entries_keep_label_order_and_binary_search() {
+        let mut t: LabelTable<u32> = LabelTable::new(8);
+        t.insert(Label::new(6), 60);
+        t.insert(Label::new(2), 20);
+        let entries = t.into_entries();
+        assert_eq!(entries, vec![(Label::new(2), 20), (Label::new(6), 60)]);
+        assert_eq!(label_entry(&entries, Label::new(6)), Some(&60));
+        assert_eq!(label_entry(&entries, Label::new(3)), None);
     }
 
     #[test]

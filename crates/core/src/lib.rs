@@ -26,9 +26,8 @@
 //! the classical [MFP/MOP
 //! substrate](mfp) for the Nielson / Kam–Ullman discussion (§6.2), and the
 //! shared sparse [worklist fixpoint engine](solver) — semi-naïve: firings
-//! consume per-watch *deltas*, not whole sets — with its [hash-consed set
-//! arena and in-place set builders](setpool) that the 0CFA and MFP solvers
-//! run on.
+//! consume per-watch *deltas*, not whole sets — with the [growth-log value
+//! store](setpool) the CFA solvers run on.
 //!
 //! # Quick tour: Theorem 5.1 in five lines
 //!
@@ -79,7 +78,7 @@ pub use absval::{AbsAnswer, AbsClo, AbsKont, AbsStore, AbsVal, CAbsAnswer, CAbsS
 pub use budget::{AnalysisBudget, AnalysisError};
 pub use cache::{
     AnalysisKind, Ancestor, ArenaDigests, CacheKey, CacheStats, CachedAnswer, CachedFixpoint,
-    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown,
+    FixpointCache, PersistDir, RecoveryReport,
 };
 pub use certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
@@ -91,13 +90,13 @@ pub use flow::FlowLog;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use govern::{
     CancelToken, CfaAnswer, Deadline, DegradationLadder, DegradationReport, GovernPolicy, Governed,
-    RunGuard, RungAttempt, ValueAnswer,
+    RunGuard, RungAttempt,
 };
 pub use labtab::{LabelLookup, LabelTable};
 pub use precision::PrecisionOrder;
 pub use pushdown::{pushdown_cfa, MatchedReturn, PushdownCfaResult};
 pub use semcps::{SemCpsAnalyzer, SemCpsResult};
-pub use setpool::{DeltaNodes, PoolStats, SetBuilder, SetId, SetPool};
+pub use setpool::DeltaNodes;
 pub use solver::{worker_count, DeltaRange, SolverMode, WorklistSolver};
 pub use stats::{AnalysisStats, SolverStats};
 pub use syncps::{SynCpsAnalyzer, SynCpsResult};

@@ -49,17 +49,16 @@
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
-use crate::cfa::{CpsCfaResult, CpsFlow, CpsTables, Flow};
+use crate::cfa::{commit_table, CpsCfaResult, CpsFlow, CpsTables, Flow};
 use crate::govern::RunGuard;
-use crate::labtab::LabelTable;
-use crate::setpool::{DeltaNodes, SetPool};
+use crate::labtab::{label_entry, LabelTable};
+use crate::setpool::DeltaNodes;
 use crate::solver::{ConstraintId, DeltaRange, WorklistSolver};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
 use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
 
 /// One matched return edge: the pop witnessed by its push. `callee`'s
 /// return site `ret_site` was wired to the continuation `cont` because the
@@ -80,20 +79,22 @@ pub struct MatchedReturn {
 /// The result of the pushdown analysis. Same shape as
 /// [`CpsCfaResult`] — per-variable flow sets plus call/return tables — so
 /// the two rungs are directly comparable, plus the matched-return
-/// witnesses and the summary-instantiation counter.
-#[derive(Debug, Clone)]
+/// witnesses and the summary-instantiation counter. Tables are
+/// label-ordered, as in [`CpsCfaResult`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushdownCfaResult {
-    /// Flow set per variable (both namespaces), as hash-consed commit
-    /// handles. Continuation variables hold the frames the analysis
-    /// *matched* (a subset of the sets 0CFA merges there).
-    pub vars: Vec<Rc<BTreeSet<CpsFlow>>>,
+    /// Flow set per variable (both namespaces). Continuation variables
+    /// hold the frames the analysis *matched* (a subset of the sets 0CFA
+    /// merges there).
+    pub vars: Vec<BTreeSet<CpsFlow>>,
     /// Return site → continuations resumed there. Frame-return entries
     /// are accumulated per matched call; join/halt entries are static.
-    pub returns: LabelTable<BTreeSet<AbsKont>>,
+    pub returns: Vec<(Label, BTreeSet<AbsKont>)>,
     /// Call site → abstract closures applied there.
-    pub calls: LabelTable<BTreeSet<AbsClo>>,
-    /// Every frame-return edge, with its matching-call witness.
-    pub matched: BTreeSet<MatchedReturn>,
+    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
+    /// Every frame-return edge, with its matching-call witness, in sorted
+    /// order.
+    pub matched: Vec<MatchedReturn>,
     /// Summary instantiations performed (one per discovered
     /// `(call site, user-λ callee)` pair).
     pub summaries: u64,
@@ -104,7 +105,7 @@ pub struct PushdownCfaResult {
 impl PushdownCfaResult {
     /// The flow set of a variable.
     pub fn get(&self, v: CVarId) -> &BTreeSet<CpsFlow> {
-        self.vars[v.index()].as_ref()
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -127,9 +128,7 @@ impl PushdownCfaResult {
         self.matched
             .iter()
             .filter(|m| {
-                !self
-                    .calls
-                    .get(m.call_site)
+                !label_entry(&self.calls, m.call_site)
                     .is_some_and(|s| s.contains(&AbsClo::Lam(m.callee)))
             })
             .count()
@@ -158,14 +157,14 @@ impl PushdownCfaResult {
                 return Some(format!("var {i}: pushdown {fine:?} ⊄ 0CFA {coarse:?}"));
             }
         }
-        for (site, clos) in self.calls.iter() {
-            let coarse = mono.calls.get(site);
+        for (site, clos) in &self.calls {
+            let coarse = label_entry(&mono.calls, *site);
             if !coarse.is_some_and(|c| clos.is_subset(c)) {
                 return Some(format!("calls at {site}: {clos:?} ⊄ {coarse:?}"));
             }
         }
-        for (site, ks) in self.returns.iter() {
-            let coarse = mono.returns.get(site);
+        for (site, ks) in &self.returns {
+            let coarse = label_entry(&mono.returns, *site);
             if !coarse.is_some_and(|c| ks.is_subset(c)) {
                 return Some(format!("returns at {site}: {ks:?} ⊄ {coarse:?}"));
             }
@@ -528,7 +527,7 @@ pub fn pushdown_cfa(prog: &CpsProgram) -> Result<PushdownCfaResult, AnalysisErro
     Ok(pushdown_cfa_instrumented(prog)?.0)
 }
 
-/// [`pushdown_cfa`] plus the solver/pool counters of the run.
+/// [`pushdown_cfa`] plus the solver counters of the run.
 pub fn pushdown_cfa_instrumented(
     prog: &CpsProgram,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
@@ -706,23 +705,17 @@ pub(crate) fn pushdown_cfa_seeded(
     let top_k = prog.kont_var_id(prog.top_k()).expect("top k indexed");
     nodes.add(top_k.index(), CpsFlow::Kont(AbsKont::Stop));
 
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
+    let vars = (0..n).map(|i| nodes.to_set(i)).collect();
+    let stats = solver.stats();
     stats.emit_into(sink, "cfa.pushdown");
     sink.gauge("cfa.pushdown.summaries", rec.summaries);
     let iterations = stats.fired.max(1);
     Ok((
         PushdownCfaResult {
             vars,
-            returns: rec.returns,
-            calls: rec.calls,
-            matched: rec.matched,
+            returns: commit_table(rec.returns),
+            calls: commit_table(rec.calls),
+            matched: rec.matched.into_iter().collect(),
             summaries: rec.summaries,
             iterations,
         },
@@ -822,7 +815,7 @@ mod tests {
         assert!(mono.false_return_edges() > 0);
         assert_eq!(pd.false_return_edges(), 0);
         // Both calls are still seen.
-        assert_eq!(pd.calls.iter().count(), mono.calls.iter().count());
+        assert_eq!(pd.calls.len(), mono.calls.len());
     }
 
     #[test]

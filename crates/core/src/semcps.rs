@@ -35,9 +35,7 @@ use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::direct::clo_top_of;
 use crate::domain::NumDomain;
 use crate::flow::FlowLog;
-use crate::govern::RunGuard;
 use crate::stats::AnalysisStats;
-use crate::trace::{self, TraceSink};
 use cpsdfa_anf::{AVal, AValKind, Anf, AnfKind, AnfProgram, Bind, LambdaRef, VarId};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -79,7 +77,6 @@ pub struct SemCpsAnalyzer<'p, D: NumDomain> {
     lambdas: HashMap<Label, LambdaRef<'p>>,
     clo_top: BTreeSet<AbsClo>,
     budget: AnalysisBudget,
-    guard: Option<RunGuard>,
     seeds: Vec<(VarId, AbsVal<D>)>,
     loop_widening: bool,
 }
@@ -92,7 +89,6 @@ impl<'p, D: NumDomain> SemCpsAnalyzer<'p, D> {
             lambdas: prog.lambdas(),
             clo_top: clo_top_of(prog),
             budget: AnalysisBudget::default(),
-            guard: None,
             seeds: Vec::new(),
             loop_widening: false,
         }
@@ -103,24 +99,6 @@ impl<'p, D: NumDomain> SemCpsAnalyzer<'p, D> {
     pub fn with_budget(mut self, budget: AnalysisBudget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// Attaches a [`RunGuard`]: goal charges flow through the guard (which
-    /// also enforces deadlines, memory ceilings, and cancellation) instead
-    /// of the plain goal budget.
-    #[must_use]
-    pub fn with_guard(mut self, guard: &RunGuard) -> Self {
-        self.guard = Some(guard.clone());
-        self
-    }
-
-    /// Charges one goal: through the attached guard when present, else
-    /// against the plain budget using the caller's running `goals` count.
-    fn charge(&self, goals: u64) -> Result<(), AnalysisError> {
-        match &self.guard {
-            Some(g) => g.charge(1),
-            None => self.budget.check(goals),
-        }
     }
 
     /// Overrides the initial abstract value of a (typically free) variable.
@@ -164,23 +142,6 @@ impl<'p, D: NumDomain> SemCpsAnalyzer<'p, D> {
     /// adversarially branchy programs (§6.2).
     pub fn analyze(&self) -> Result<SemCpsResult<D>, AnalysisError> {
         self.analyze_from(self.initial_store())
-    }
-
-    /// [`analyze`](SemCpsAnalyzer::analyze) under a `semcps` span, with the
-    /// cost counters flushed into `sink` when the run completes.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze`](SemCpsAnalyzer::analyze).
-    pub fn analyze_traced(
-        &self,
-        sink: &mut impl TraceSink,
-    ) -> Result<SemCpsResult<D>, AnalysisError> {
-        trace::with_span(sink, "semcps", |sink| {
-            let res = self.analyze()?;
-            res.stats.emit_into(sink, "semcps");
-            Ok(res)
-        })
     }
 
     /// Runs the analysis from an explicit initial store.
@@ -280,7 +241,7 @@ impl<'p, D: NumDomain> Run<'_, 'p, D> {
     ) -> Result<AbsAnswer<D>, AnalysisError> {
         self.depth += 1;
         self.stats.enter_goal(self.depth);
-        self.a.charge(self.stats.goals)?;
+        self.a.budget.check(self.stats.goals)?;
 
         let key = (m.label, store.clone());
         if self.path.contains(&key) {
@@ -362,7 +323,7 @@ impl<'p, D: NumDomain> Run<'_, 'p, D> {
                             // only exit; a defensive check here keeps the
                             // loop honest even for continuation-free κ.
                             self.stats.goals += 1;
-                            self.a.charge(self.stats.goals)?;
+                            self.a.budget.check(self.stats.goals)?;
                         }
                     }
                 }

@@ -1,314 +1,25 @@
-//! Hash-consed set arena: interns `BTreeSet<T>` values into small [`SetId`]
-//! handles with O(1) equality, memoized pairwise joins, and copy-free
-//! propagation — plus the mutable **builder growth path** the semi-naïve
-//! solvers use while a fixpoint is still moving.
+//! The value store the semi-naïve CFA solvers grow while a fixpoint is
+//! still moving.
 //!
-//! The dense fixpoint loops (pre-solver `zero_cfa`/`zero_cfa_cps`) cloned
-//! `BTreeSet<AbsClo>` values on every propagation step. A pool turns those
-//! clones into handle copies: a set is built at most once, `join(a, b)` is
-//! computed at most once per (unordered) pair of handles, and repeated
-//! no-op joins (`a ⊔ b = a`) cost one hash lookup. Equality of handles is
-//! equality of sets, so convergence checks are integer compares.
-//!
-//! Interning every intermediate set has a failure mode, though: a node that
-//! grows one element at a time pays an O(|set|) clone + hash per growth
-//! step, so workloads dominated by incremental growth (CPS 0CFA on wide
-//! dispatch) regress below the dense in-place `extend`. The cure is to keep
-//! *growing* sets out of the arena entirely: [`DeltaNodes`] stores every
-//! flow node as an append-only growth log (the delta source the
+//! The dense fixpoint loops (`zero_cfa_dense`/`zero_cfa_cps_dense`) clone
+//! `BTreeSet<AbsClo>` values on every propagation step, and a node that
+//! grows one element at a time pays an O(|set|) copy per step. [`DeltaNodes`]
+//! keeps growing sets out of any ordered structure: every flow node is an
+//! append-only growth log (the delta source the
 //! [`WorklistSolver`](crate::solver::WorklistSolver) cursors index) plus a
 //! bitset over a store-wide dense value universe, so a value is hashed once
-//! at first sight and forwarded between nodes with pure bit ops. Nodes
-//! intern into the pool only at commit points
-//! ([`DeltaNodes::commit_into`]) — after convergence, when handle equality
-//! and the memoized joins become useful again — and the commit walks the
-//! bitset in universe-index order, memoizing on the canonical index run, so
-//! no comparison sort or re-hash happens at extraction either. The
-//! clone-per-element regime is gone while the `SetId`-equality property is
-//! preserved for the report/comparison layers. ([`SetBuilder`], a plain
-//! sorted-vec set that unions in place, remains for callers that want
-//! in-place growth without the log/delta machinery.)
+//! at first sight and forwarded between nodes with pure bit ops. Only
+//! after convergence does each node become a `BTreeSet`
+//! ([`DeltaNodes::to_set`]) — the form the CFA results, the fixpoint
+//! cache, the disk codec and the certifier all read.
 //!
-//! Pools are deliberately *not* shared across threads: each analysis task
-//! owns its pool (see the corpus driver in `cpsdfa-workloads`), which keeps
-//! the arena lock-free.
+//! A store belongs to one solve on one thread; the committed sets it
+//! produces are plain owned values, so the results are `Send + Sync`.
 
 use crate::fxhash::FxHashMap;
 use crate::kernels;
 use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::rc::Rc;
-
-/// A handle to an interned set. Two handles from the *same pool* are equal
-/// iff the sets they denote are equal. [`SetPool::EMPTY`] is always the
-/// empty set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SetId(u32);
-
-impl SetId {
-    /// The dense index of this handle (for side tables).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Counters describing pool effectiveness; folded into
-/// [`SolverStats`](crate::stats::SolverStats) by the sparse analyzers.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Distinct sets interned (arena size).
-    pub interned: u64,
-    /// Joins answered from the memo table or by a trivial identity.
-    pub join_hits: u64,
-    /// Joins that had to materialize a union.
-    pub join_misses: u64,
-    /// Canonical-run commits answered from a commit memo (or trivially
-    /// empty) — [`SetPool::commit`] and [`DeltaNodes::commit_into`] both
-    /// count here.
-    pub commit_hits: u64,
-    /// Commits that had to intern a set.
-    pub commit_misses: u64,
-}
-
-impl PoolStats {
-    /// Fraction of joins that avoided building a set, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.join_hits + self.join_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.join_hits as f64 / total as f64
-        }
-    }
-}
-
-/// The arena. `T` is the set element (e.g. `AbsClo`, `AbsKont`, or the CPS
-/// mixed flow value).
-pub struct SetPool<T> {
-    sets: Vec<Rc<BTreeSet<T>>>,
-    intern: FxHashMap<Rc<BTreeSet<T>>, SetId>,
-    join_memo: FxHashMap<(SetId, SetId), SetId>,
-    insert_memo: FxHashMap<(SetId, T), SetId>,
-    /// Sorted-distinct element runs → handle: lets [`SetPool::commit`]
-    /// answer duplicate commits from a contiguous-slice hash without
-    /// building (or hashing) a `BTreeSet` at all.
-    commit_memo: FxHashMap<Box<[T]>, SetId>,
-    /// Reused by [`SetPool::commit`] so per-node extraction commits don't
-    /// each pay a heap allocation (a solver run commits every node once).
-    commit_scratch: Vec<T>,
-    stats: PoolStats,
-}
-
-impl<T: Ord + Clone + Hash> SetPool<T> {
-    /// The empty set's handle, valid in every pool.
-    pub const EMPTY: SetId = SetId(0);
-
-    /// A fresh pool containing only the empty set.
-    pub fn new() -> Self {
-        let empty = Rc::new(BTreeSet::new());
-        let mut intern = FxHashMap::default();
-        intern.insert(Rc::clone(&empty), SetId(0));
-        SetPool {
-            sets: vec![empty],
-            intern,
-            join_memo: FxHashMap::default(),
-            insert_memo: FxHashMap::default(),
-            commit_memo: FxHashMap::default(),
-            commit_scratch: Vec::new(),
-            stats: PoolStats {
-                interned: 1,
-                ..PoolStats::default()
-            },
-        }
-    }
-
-    /// Interns `set`, returning its canonical handle.
-    pub fn intern(&mut self, set: BTreeSet<T>) -> SetId {
-        if let Some(&id) = self.intern.get(&set) {
-            return id;
-        }
-        let id = SetId(self.sets.len() as u32);
-        let rc = Rc::new(set);
-        self.sets.push(Rc::clone(&rc));
-        self.intern.insert(rc, id);
-        self.stats.interned += 1;
-        id
-    }
-
-    /// The handle of `{v}`.
-    pub fn singleton(&mut self, v: T) -> SetId {
-        self.intern(BTreeSet::from([v]))
-    }
-
-    /// The set behind a handle.
-    pub fn get(&self, id: SetId) -> &BTreeSet<T> {
-        &self.sets[id.index()]
-    }
-
-    /// An O(1) shared handle to the set — lets callers iterate a set while
-    /// continuing to mutate the pool (the propagation loops need this).
-    pub fn get_rc(&self, id: SetId) -> Rc<BTreeSet<T>> {
-        Rc::clone(&self.sets[id.index()])
-    }
-
-    /// Cardinality of the set behind `id`.
-    pub fn len(&self, id: SetId) -> usize {
-        self.sets[id.index()].len()
-    }
-
-    /// True iff `id` denotes the empty set.
-    pub fn is_empty(&self, id: SetId) -> bool {
-        id == Self::EMPTY
-    }
-
-    /// `a ∪ b`, memoized. Identity and absorption cases (`a = b`, either
-    /// side empty, one side a superset) never materialize a new set.
-    pub fn join(&mut self, a: SetId, b: SetId) -> SetId {
-        if a == b || b == Self::EMPTY {
-            self.stats.join_hits += 1;
-            return a;
-        }
-        if a == Self::EMPTY {
-            self.stats.join_hits += 1;
-            return b;
-        }
-        // Union is commutative: normalize the memo key.
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&id) = self.join_memo.get(&key) {
-            self.stats.join_hits += 1;
-            return id;
-        }
-        self.stats.join_misses += 1;
-        let (sa, sb) = (&self.sets[a.index()], &self.sets[b.index()]);
-        let id = if sb.is_subset(sa) {
-            a
-        } else if sa.is_subset(sb) {
-            b
-        } else {
-            let union: BTreeSet<T> = sa.union(sb).cloned().collect();
-            self.intern(union)
-        };
-        self.join_memo.insert(key, id);
-        id
-    }
-
-    /// `a ∪ {v}`, memoized.
-    pub fn insert(&mut self, a: SetId, v: T) -> SetId {
-        if self.sets[a.index()].contains(&v) {
-            self.stats.join_hits += 1;
-            return a;
-        }
-        let key = (a, v.clone());
-        if let Some(&id) = self.insert_memo.get(&key) {
-            self.stats.join_hits += 1;
-            return id;
-        }
-        self.stats.join_misses += 1;
-        let mut set = (*self.sets[a.index()]).clone();
-        set.insert(v);
-        let id = self.intern(set);
-        self.insert_memo.insert(key, id);
-        id
-    }
-
-    /// Pool effectiveness counters.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
-
-    /// Interns a finished growing set — the commit point of the builder
-    /// growth path. Accepts anything yielding the distinct elements (a
-    /// [`SetBuilder`], a [`DeltaNodes`] growth log, a slice). Identical
-    /// node sets (common: every call site of a function converges to the
-    /// same callee set) dedup to one handle.
-    pub fn commit<'a>(&mut self, elems: impl IntoIterator<Item = &'a T>) -> SetId
-    where
-        T: 'a,
-    {
-        // Sort first: the sorted-distinct run is the memo key (one
-        // contiguous hash, no tree walk), and — on a miss — the cheap
-        // right-edge insert order for building the `BTreeSet`. The scratch
-        // buffer is pool-owned: memo hits (the common case — most nodes
-        // converge to one of a handful of sets) allocate nothing.
-        let mut scratch = std::mem::take(&mut self.commit_scratch);
-        scratch.clear();
-        scratch.extend(elems.into_iter().cloned());
-        scratch.sort_unstable();
-        scratch.dedup();
-        if scratch.is_empty() {
-            self.stats.commit_hits += 1;
-            self.commit_scratch = scratch;
-            return Self::EMPTY;
-        }
-        if let Some(&id) = self.commit_memo.get(scratch.as_slice()) {
-            self.stats.commit_hits += 1;
-            self.commit_scratch = scratch;
-            return id;
-        }
-        self.stats.commit_misses += 1;
-        let set: BTreeSet<T> = scratch.iter().cloned().collect();
-        let id = self.intern(set);
-        self.commit_memo
-            .insert(scratch.as_slice().to_vec().into_boxed_slice(), id);
-        self.commit_scratch = scratch;
-        id
-    }
-}
-
-/// A mutable sorted-vec set: the *builder* representation growing flow
-/// nodes use between commit points. Inserts union in place (binary search
-/// plus shift) instead of the intern path's clone + hash per element, which
-/// is what makes one-element-at-a-time growth cheap.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SetBuilder<T> {
-    elems: Vec<T>,
-}
-
-impl<T: Ord> SetBuilder<T> {
-    /// An empty builder.
-    pub fn new() -> Self {
-        SetBuilder { elems: Vec::new() }
-    }
-
-    /// Inserts `v`; returns whether it was new.
-    pub fn insert(&mut self, v: T) -> bool {
-        match self.elems.binary_search(&v) {
-            Ok(_) => false,
-            Err(at) => {
-                self.elems.insert(at, v);
-                true
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, v: &T) -> bool {
-        self.elems.binary_search(v).is_ok()
-    }
-
-    /// Cardinality.
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// True iff no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
-    /// The elements in ascending order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.elems.iter()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a SetBuilder<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.elems.iter()
-    }
-}
 
 /// The value store of a semi-naïve CFA solver: per flow node, an append-only
 /// **growth log** in insertion order plus a **bitset** membership filter
@@ -327,23 +38,19 @@ impl<'a, T> IntoIterator for &'a SetBuilder<T> {
 /// ([`add_indexed`](DeltaNodes::add_indexed)) is then a bit test and two
 /// pushes — no hashing at all — which matters because flow-heavy workloads
 /// (wide dispatch) forward each element across many edges but introduce it
-/// only once. A sorted [`SetBuilder`] per node would also work, but its
-/// O(|set|) shift per insert re-creates the clone-per-element regime this
-/// engine exists to kill.
+/// only once. A sorted vector per node would also work, but its O(|set|)
+/// shift per insert re-creates the clone-per-element regime this engine
+/// exists to kill.
 pub struct DeltaNodes<T> {
     /// value → dense universe index, assigned at first sight.
     universe: FxHashMap<T, u32>,
-    /// universe index → value (the inverse of `universe`), for
-    /// [`commit_into`](DeltaNodes::commit_into)'s index-order walk.
+    /// universe index → value (the inverse of `universe`), for the bulk
+    /// [`forward_range`](DeltaNodes::forward_range) kernel's log appends.
     rev: Vec<T>,
     /// Per node: insertion-ordered distinct `(value, universe index)`.
     logs: Vec<Vec<(T, u32)>>,
     /// Per node: membership bits over universe indices, grown on demand.
     bits: Vec<Vec<u64>>,
-    /// Canonical index runs already committed → their pool handle.
-    commit_memo: FxHashMap<Box<[u32]>, SetId>,
-    /// Reused index buffer for [`commit_into`](DeltaNodes::commit_into).
-    commit_scratch: Vec<u32>,
     /// Reused diff-word buffer for the bulk
     /// [`forward_range`](DeltaNodes::forward_range) kernel.
     diff_scratch: Vec<u64>,
@@ -369,8 +76,6 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
             rev: Vec::new(),
             logs: vec![Vec::new(); n],
             bits: vec![Vec::new(); n],
-            commit_memo: FxHashMap::default(),
-            commit_scratch: Vec::new(),
             diff_scratch: Vec::new(),
             log_entries: 0,
             log_cap: 0,
@@ -483,8 +188,7 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
     /// O(1):
     /// maintained incrementally by the add paths. This is what the governed
     /// CFA drivers feed the [`RunGuard`](crate::govern::RunGuard) memory
-    /// ceiling, and the number tracks the same growth the `pool.*` gauges
-    /// report at commit time.
+    /// ceiling.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         self.log_cap * size_of::<(T, u32)>()
@@ -499,8 +203,7 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         &self.logs[node]
     }
 
-    /// The values of `node`'s growth log, in insertion order (the commit
-    /// iterator).
+    /// The values of `node`'s growth log, in insertion order.
     pub fn values(&self, node: usize) -> impl Iterator<Item = &T> {
         self.logs[node].iter().map(|(v, _)| v)
     }
@@ -534,152 +237,20 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         self.logs.len()
     }
 
-    /// Interns `node`'s converged set into `pool` — the extraction commit
-    /// point. The node's bitset already holds its elements as
-    /// sorted-distinct universe indices, so the canonical form costs a word
-    /// walk, not a comparison sort, and duplicate sets (every call site of
-    /// a function converging to the same callee set) dedup through one
-    /// `u32`-run hash before any `BTreeSet` is built. Handles are memoized
-    /// per store: always pass the same `pool` for the lifetime of `self`.
-    pub fn commit_into(&mut self, node: usize, pool: &mut SetPool<T>) -> SetId
+    /// `node`'s converged set — the commit point after the solve. The log
+    /// holds exactly the node's distinct elements, so this is one sort of
+    /// the log and a bulk `BTreeSet` build.
+    pub fn to_set(&self, node: usize) -> BTreeSet<T>
     where
         T: Ord,
     {
-        self.commit_scratch.clear();
-        let scratch = &mut self.commit_scratch;
-        kernels::for_each_set_bit(&self.bits[node], |vi| scratch.push(vi));
-        if self.commit_scratch.is_empty() {
-            pool.stats.commit_hits += 1;
-            return SetPool::<T>::EMPTY;
-        }
-        if let Some(&id) = self.commit_memo.get(self.commit_scratch.as_slice()) {
-            pool.stats.commit_hits += 1;
-            return id;
-        }
-        pool.stats.commit_misses += 1;
-        let set: BTreeSet<T> = self
-            .commit_scratch
-            .iter()
-            .map(|&vi| self.rev[vi as usize].clone())
-            .collect();
-        let id = pool.intern(set);
-        self.commit_memo.insert(
-            self.commit_scratch.as_slice().to_vec().into_boxed_slice(),
-            id,
-        );
-        id
-    }
-}
-
-impl<T: Ord + Clone + Hash> Default for SetPool<T> {
-    fn default() -> Self {
-        Self::new()
+        self.values(node).cloned().collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn handle_equality_is_set_equality() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1, 2, 3]));
-        let b = p.intern(BTreeSet::from([3, 2, 1]));
-        let c = p.intern(BTreeSet::from([1, 2]));
-        assert_eq!(a, b, "same set must intern to the same handle");
-        assert_ne!(a, c);
-        assert_eq!(p.get(a), &BTreeSet::from([1, 2, 3]));
-    }
-
-    #[test]
-    fn empty_is_the_join_identity() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([7]));
-        let empty = SetPool::<i32>::EMPTY;
-        assert_eq!(p.join(a, empty), a);
-        assert_eq!(p.join(empty, a), a);
-        assert_eq!(p.join(empty, empty), empty);
-        assert!(p.is_empty(empty));
-    }
-
-    #[test]
-    fn join_is_memoized_and_commutative() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let b = p.intern(BTreeSet::from([2]));
-        let ab1 = p.join(a, b);
-        let misses_after_first = p.stats().join_misses;
-        let ab2 = p.join(b, a);
-        assert_eq!(ab1, ab2);
-        assert_eq!(
-            p.stats().join_misses,
-            misses_after_first,
-            "second join must hit the memo"
-        );
-        assert_eq!(p.get(ab1), &BTreeSet::from([1, 2]));
-    }
-
-    #[test]
-    fn subset_joins_reuse_the_larger_handle() {
-        let mut p = SetPool::new();
-        let big = p.intern(BTreeSet::from([1, 2, 3]));
-        let small = p.intern(BTreeSet::from([2]));
-        assert_eq!(p.join(big, small), big);
-        assert_eq!(p.join(small, big), big);
-    }
-
-    #[test]
-    fn insert_dedups_and_memoizes() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let a1 = p.insert(a, 2);
-        let a2 = p.insert(a, 2);
-        assert_eq!(a1, a2);
-        assert_eq!(
-            p.insert(a1, 2),
-            a1,
-            "inserting a present element is the identity"
-        );
-        let direct = p.intern(BTreeSet::from([1, 2]));
-        assert_eq!(a1, direct);
-    }
-
-    #[test]
-    fn builder_insert_dedups_and_sorts() {
-        let mut b = SetBuilder::new();
-        assert!(b.insert(3));
-        assert!(b.insert(1));
-        assert!(!b.insert(3), "re-insert must report not-new");
-        assert!(b.contains(&1) && !b.contains(&2));
-        assert_eq!(b.len(), 2);
-        let elems: Vec<i32> = b.iter().copied().collect();
-        assert_eq!(elems, vec![1, 3]);
-    }
-
-    #[test]
-    fn commit_interns_builders_canonically() {
-        let mut p = SetPool::new();
-        let mut b1 = SetBuilder::new();
-        let mut b2 = SetBuilder::new();
-        for v in [1, 2, 3] {
-            b1.insert(v);
-        }
-        for v in [3, 1, 2] {
-            b2.insert(v);
-        }
-        let id1 = p.commit(&b1);
-        let id2 = p.commit(&b2);
-        assert_eq!(id1, id2, "insertion order must not matter at commit");
-        assert_eq!(p.get(id1), &BTreeSet::from([1, 2, 3]));
-        assert_eq!(
-            p.commit(&SetBuilder::<i32>::new()),
-            SetPool::<i32>::EMPTY,
-            "empty builders commit to the canonical empty handle"
-        );
-        // A committed builder also unifies with independently interned sets.
-        assert_eq!(p.intern(BTreeSet::from([1, 2, 3])), id1);
-    }
 
     #[test]
     fn delta_nodes_log_never_repeats_an_element() {
@@ -791,7 +362,7 @@ mod tests {
         assert!(nodes.is_subset(1, 1), "reflexive");
         assert!(nodes.is_subset(3, 3));
         // Differential against the committed sets.
-        let sets: Vec<BTreeSet<u32>> = (0..4).map(|n| nodes.values(n).copied().collect()).collect();
+        let sets: Vec<BTreeSet<u32>> = (0..4).map(|n| nodes.to_set(n)).collect();
         for a in 0..4 {
             for b in 0..4 {
                 assert_eq!(
@@ -831,41 +402,5 @@ mod tests {
             est >= cap_lower,
             "estimate {est} must cover reserved {cap_lower}"
         );
-    }
-
-    #[test]
-    fn commit_memo_hits_are_counted_for_both_paths() {
-        let mut p = SetPool::new();
-        let mut b = SetBuilder::new();
-        b.insert(1);
-        b.insert(2);
-        p.commit(&b); // miss: first sight of {1, 2}
-        p.commit(&b); // hit: canonical-run memo
-        p.commit(&SetBuilder::<i32>::new()); // hit: trivially empty
-        assert_eq!(p.stats().commit_misses, 1);
-        assert_eq!(p.stats().commit_hits, 2);
-
-        let mut nodes: DeltaNodes<i32> = DeltaNodes::new(2);
-        nodes.add(0, 1);
-        nodes.add(0, 2);
-        let id = nodes.commit_into(0, &mut p); // miss in its own memo
-        assert_eq!(nodes.commit_into(0, &mut p), id); // hit
-        assert_eq!(nodes.commit_into(1, &mut p), SetPool::<i32>::EMPTY); // hit
-        assert_eq!(p.stats().commit_misses, 2);
-        assert_eq!(p.stats().commit_hits, 4);
-    }
-
-    #[test]
-    fn hit_rate_reflects_memo_effectiveness() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let b = p.intern(BTreeSet::from([2]));
-        for _ in 0..10 {
-            p.join(a, b);
-        }
-        let s = p.stats();
-        assert_eq!(s.join_misses, 1);
-        assert_eq!(s.join_hits, 9);
-        assert!(s.hit_rate() > 0.8);
     }
 }

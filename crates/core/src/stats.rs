@@ -30,19 +30,6 @@ impl AnalysisStats {
         self.goals += 1;
         self.max_depth = self.max_depth.max(depth);
     }
-
-    /// Flushes these counters into a trace sink under `prefix` (e.g.
-    /// `semcps.goals`, `semcps.max_depth`). One call per run — the per-goal
-    /// path never touches the sink.
-    pub fn emit_into(&self, sink: &mut impl TraceSink, prefix: &str) {
-        if !sink.enabled() {
-            return;
-        }
-        sink.counter(&format!("{prefix}.goals"), self.goals);
-        sink.counter(&format!("{prefix}.cycle_cuts"), self.cycle_cuts);
-        sink.counter(&format!("{prefix}.returns"), self.returns);
-        sink.gauge(&format!("{prefix}.max_depth"), self.max_depth as u64);
-    }
 }
 
 impl fmt::Display for AnalysisStats {
@@ -56,8 +43,7 @@ impl fmt::Display for AnalysisStats {
 }
 
 /// Counters from one run of the sparse worklist engine
-/// ([`WorklistSolver`](crate::solver::WorklistSolver)), optionally folded
-/// together with the set-pool counters of the same run. The interesting
+/// ([`WorklistSolver`](crate::solver::WorklistSolver)). The interesting
 /// quantity for §6-style cost arguments is `coalesced`: every coalesced
 /// post is a constraint evaluation the dense formulation would have paid
 /// for and the sparse one did not.
@@ -78,18 +64,6 @@ pub struct SolverStats {
     pub node_updates: u64,
     /// Worklist depth high-water mark (pending constraints).
     pub queue_peak: u64,
-    /// Distinct sets interned by the run's set pool (0 for non-pooled
-    /// instances such as MFP).
-    pub pool_interned: u64,
-    /// Set-pool joins answered without building a set.
-    pub pool_join_hits: u64,
-    /// Set-pool joins that materialized a union.
-    pub pool_join_misses: u64,
-    /// Canonical-run commits answered from the commit memo (both
-    /// `SetPool::commit` and `DeltaNodes::commit_into`).
-    pub pool_commit_hits: u64,
-    /// Canonical-run commits that had to intern.
-    pub pool_commit_misses: u64,
     /// Non-empty per-watch delta deliveries
     /// ([`take_deltas`](crate::solver::WorklistSolver::take_deltas) ranges).
     pub delta_batches: u64,
@@ -108,17 +82,6 @@ pub struct SolverStats {
 pub const DELTA_HIST_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 
 impl SolverStats {
-    /// Folds a set pool's counters into these solver counters.
-    #[must_use]
-    pub fn with_pool(mut self, pool: crate::setpool::PoolStats) -> Self {
-        self.pool_interned += pool.interned;
-        self.pool_join_hits += pool.join_hits;
-        self.pool_join_misses += pool.join_misses;
-        self.pool_commit_hits += pool.commit_hits;
-        self.pool_commit_misses += pool.commit_misses;
-        self
-    }
-
     /// Flushes these counters into a trace sink under `prefix` (e.g.
     /// `solver.fired` for `prefix = "solver"`). Emission is a phase-boundary
     /// operation: the solver hot loop keeps its plain field increments and
@@ -136,14 +99,6 @@ impl SolverStats {
         sink.counter(&format!("{prefix}.fired"), self.fired);
         sink.counter(&format!("{prefix}.node_updates"), self.node_updates);
         sink.gauge(&format!("{prefix}.queue_peak"), self.queue_peak);
-        sink.counter(&format!("{prefix}.pool.interned"), self.pool_interned);
-        sink.counter(&format!("{prefix}.pool.join_hits"), self.pool_join_hits);
-        sink.counter(&format!("{prefix}.pool.join_misses"), self.pool_join_misses);
-        sink.counter(&format!("{prefix}.pool.commit_hits"), self.pool_commit_hits);
-        sink.counter(
-            &format!("{prefix}.pool.commit_misses"),
-            self.pool_commit_misses,
-        );
         sink.counter(&format!("{prefix}.delta_batches"), self.delta_batches);
         sink.counter(&format!("{prefix}.delta_elems"), self.delta_elems);
         for (i, &n) in self.delta_hist.iter().enumerate() {
@@ -171,24 +126,9 @@ impl SolverStats {
             fired: c("fired"),
             node_updates: c("node_updates"),
             queue_peak: agg.gauge_value(&format!("{prefix}.queue_peak")),
-            pool_interned: c("pool.interned"),
-            pool_join_hits: c("pool.join_hits"),
-            pool_join_misses: c("pool.join_misses"),
-            pool_commit_hits: c("pool.commit_hits"),
-            pool_commit_misses: c("pool.commit_misses"),
             delta_batches: c("delta_batches"),
             delta_elems: c("delta_elems"),
             delta_hist,
-        }
-    }
-
-    /// Fraction of set joins answered without building a set, in `[0, 1]`.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.pool_join_hits + self.pool_join_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.pool_join_hits as f64 / total as f64
         }
     }
 
@@ -220,7 +160,7 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "nodes={} constraints={} posted={} coalesced={} fired={} updates={} \
-             delta(elems={} mean={:.2}) pool(sets={} hit-rate={:.2})",
+             delta(elems={} mean={:.2})",
             self.nodes,
             self.constraints,
             self.posted,
@@ -229,8 +169,6 @@ impl fmt::Display for SolverStats {
             self.node_updates,
             self.delta_elems,
             self.mean_delta(),
-            self.pool_interned,
-            self.pool_hit_rate(),
         )
     }
 }
@@ -263,31 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn solver_stats_fold_pool_counters_and_rate() {
-        let pool = crate::setpool::PoolStats {
-            interned: 5,
-            join_hits: 3,
-            join_misses: 1,
-            ..Default::default()
-        };
+    fn solver_stats_display_lists_scheduling_counters() {
         let s = SolverStats {
             posted: 10,
             coalesced: 4,
             fired: 6,
             ..SolverStats::default()
-        }
-        .with_pool(pool);
-        assert_eq!(s.pool_interned, 5);
-        assert!((s.pool_hit_rate() - 0.75).abs() < 1e-9);
+        };
         let text = s.to_string();
-        for needle in ["posted=10", "coalesced=4", "fired=6", "hit-rate=0.75"] {
+        for needle in ["posted=10", "coalesced=4", "fired=6"] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-    }
-
-    #[test]
-    fn empty_pool_has_perfect_hit_rate() {
-        assert!((SolverStats::default().pool_hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -309,11 +233,6 @@ mod tests {
             fired: 8,
             node_updates: 6,
             queue_peak: 5,
-            pool_interned: 7,
-            pool_join_hits: 1,
-            pool_join_misses: 2,
-            pool_commit_hits: 3,
-            pool_commit_misses: 4,
             delta_batches: 9,
             delta_elems: 20,
             delta_hist: [0; 8],
@@ -328,22 +247,6 @@ mod tests {
         let doubled = SolverStats::from_agg(&agg, "solver");
         assert_eq!(doubled.fired, 16);
         assert_eq!(doubled.queue_peak, 5);
-    }
-
-    #[test]
-    fn analysis_stats_emit_under_a_prefix() {
-        let s = AnalysisStats {
-            goals: 11,
-            cycle_cuts: 2,
-            max_depth: 7,
-            returns: 3,
-        };
-        let mut agg = AggSink::new();
-        s.emit_into(&mut agg, "semcps");
-        assert_eq!(agg.counter_value("semcps.goals"), 11);
-        assert_eq!(agg.gauge_value("semcps.max_depth"), 7);
-        // The no-op sink takes the early-out and stays empty.
-        s.emit_into(&mut crate::trace::NoopSink, "semcps");
     }
 
     #[test]

@@ -14,9 +14,7 @@ use crate::absval::{AbsClo, AbsKont, CAbsAnswer, CAbsStore, CAbsVal};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::domain::NumDomain;
 use crate::flow::FlowLog;
-use crate::govern::RunGuard;
 use crate::stats::AnalysisStats;
-use crate::trace::{self, TraceSink};
 #[cfg(test)]
 use cpsdfa_cps::VarKey;
 use cpsdfa_cps::{CLambdaRef, CTerm, CTermKind, CVal, CValKind, CVarId, ContRef, CpsProgram};
@@ -62,7 +60,6 @@ pub struct SynCpsAnalyzer<'p, D: NumDomain> {
     clo_top: BTreeSet<AbsClo>,
     kont_top: BTreeSet<AbsKont>,
     budget: AnalysisBudget,
-    guard: Option<RunGuard>,
     seeds: Vec<(CVarId, CAbsVal<D>)>,
     loop_widening: bool,
 }
@@ -98,7 +95,6 @@ impl<'p, D: NumDomain> SynCpsAnalyzer<'p, D> {
             clo_top,
             kont_top,
             budget: AnalysisBudget::default(),
-            guard: None,
             seeds: Vec::new(),
             loop_widening: false,
         }
@@ -109,24 +105,6 @@ impl<'p, D: NumDomain> SynCpsAnalyzer<'p, D> {
     pub fn with_budget(mut self, budget: AnalysisBudget) -> Self {
         self.budget = budget;
         self
-    }
-
-    /// Attaches a [`RunGuard`]: goal charges flow through the guard (which
-    /// also enforces deadlines, memory ceilings, and cancellation) instead
-    /// of the plain goal budget.
-    #[must_use]
-    pub fn with_guard(mut self, guard: &RunGuard) -> Self {
-        self.guard = Some(guard.clone());
-        self
-    }
-
-    /// Charges one goal: through the attached guard when present, else
-    /// against the plain budget using the caller's running `goals` count.
-    fn charge(&self, goals: u64) -> Result<(), AnalysisError> {
-        match &self.guard {
-            Some(g) => g.charge(1),
-            None => self.budget.check(goals),
-        }
     }
 
     /// Overrides the initial abstract value of a variable (either
@@ -175,23 +153,6 @@ impl<'p, D: NumDomain> SynCpsAnalyzer<'p, D> {
     /// [`AnalysisError::BudgetExhausted`] if the goal budget runs out.
     pub fn analyze(&self) -> Result<SynCpsResult<D>, AnalysisError> {
         self.analyze_from(self.initial_store())
-    }
-
-    /// [`analyze`](SynCpsAnalyzer::analyze) under a `syncps` span, with the
-    /// cost counters flushed into `sink` when the run completes.
-    ///
-    /// # Errors
-    ///
-    /// As for [`analyze`](SynCpsAnalyzer::analyze).
-    pub fn analyze_traced(
-        &self,
-        sink: &mut impl TraceSink,
-    ) -> Result<SynCpsResult<D>, AnalysisError> {
-        trace::with_span(sink, "syncps", |sink| {
-            let res = self.analyze()?;
-            res.stats.emit_into(sink, "syncps");
-            Ok(res)
-        })
     }
 
     /// Runs the analysis from an explicit initial store.
@@ -249,7 +210,7 @@ impl<'p, D: NumDomain> Run<'_, 'p, D> {
     fn eval(&mut self, p: &'p CTerm, store: CAbsStore<D>) -> Result<CAbsAnswer<D>, AnalysisError> {
         self.depth += 1;
         self.stats.enter_goal(self.depth);
-        self.a.charge(self.stats.goals)?;
+        self.a.budget.check(self.stats.goals)?;
 
         let key = (p.label, store.clone());
         if self.path.contains(&key) {
@@ -389,7 +350,7 @@ impl<'p, D: NumDomain> Run<'_, 'p, D> {
                     });
                     i += 1;
                     self.stats.goals += 1;
-                    self.a.charge(self.stats.goals)?;
+                    self.a.budget.check(self.stats.goals)?;
                 }
             }
         }

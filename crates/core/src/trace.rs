@@ -2,8 +2,7 @@
 //!
 //! Every fixpoint engine in this crate produces cost evidence: the sparse
 //! [`WorklistSolver`](crate::solver::WorklistSolver) counts firings and delta
-//! sizes, the [`SetPool`](crate::setpool::SetPool) counts interns and memo
-//! hits, the abstract interpreters count goals and cycle cuts, and the
+//! sizes, the abstract interpreters count goals and cycle cuts, and the
 //! concrete interpreters meter fuel. This module gives all of them a single
 //! outlet: a [`TraceSink`] that accepts **counters** (monotone tallies),
 //! **gauges** (high-water marks), **timers** (externally measured durations),
@@ -38,7 +37,7 @@ use std::time::Instant;
 /// A destination for trace events.
 ///
 /// Implementations must tolerate arbitrary event names; the names used by
-/// this crate form a dotted hierarchy (`solver.fired`, `pool.interned`,
+/// this crate form a dotted hierarchy (`solver.fired`, `cache.hit`,
 /// `e16.0cfa.dispatch.320.sparse_ns`, …) documented in DESIGN.md §7.
 pub trait TraceSink {
     /// Cheap global gate. Callers may skip expensive name formatting when
@@ -591,7 +590,7 @@ mod tests {
         sink.gauge("queue \"peak\"", 7);
         sink.time_ns("e16.sparse_ns", 152_000);
         sink.span_start("E16");
-        sink.counter("pool.interned", 3);
+        sink.counter("cache.hit", 3);
         sink.span_end("E16");
         let text = String::from_utf8(sink.into_inner()).unwrap();
 
@@ -615,7 +614,7 @@ mod tests {
 
         let agg = AggSink::from_jsonl(&text);
         assert_eq!(agg.counter_value("solver.fired"), 42);
-        assert_eq!(agg.counter_value("pool.interned"), 3);
+        assert_eq!(agg.counter_value("cache.hit"), 3);
         assert_eq!(agg.gauge_value("queue \"peak\""), 7);
         assert_eq!(agg.timer_agg("e16.sparse_ns").unwrap().total_ns, 152_000);
         assert_eq!(agg.span_agg("E16").unwrap().count, 1);

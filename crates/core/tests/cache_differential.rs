@@ -18,8 +18,7 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
 use cpsdfa_core::cache::{
-    debug_digest, AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
-    FixpointCache, SendCfa, SendCpsCfa,
+    debug_digest, AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache,
 };
 use cpsdfa_core::cfa::{zero_cfa_cps_guarded, zero_cfa_guarded};
 use cpsdfa_core::domain::Flat;
@@ -60,21 +59,17 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str) -> Result<(), String> 
     let key = CacheKey::full(AnalysisKind::CfaSrc, mode, digest);
     cache.insert(
         key,
-        CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&first)),
-            DegradationReport::default(),
-        ),
+        CachedFixpoint::new(CachedAnswer::CfaSrc(first), DegradationReport::default()),
     );
     let hit = cache.lookup(&key).ok_or("src entry vanished")?;
-    let CachedAnswer::CfaSrc(mirror) = &hit.answer else {
+    let CachedAnswer::CfaSrc(restored) = &hit.answer else {
         return Err("src entry changed kind".into());
     };
-    let restored = mirror.to_result();
     let fresh = solve_src()?;
     if !restored.same_solution(&fresh) {
         return Err("src hit diverged from fresh solve".into());
     }
-    if hit.answer_digest != SendCfa::from_result(&fresh).solution_digest() {
+    if hit.answer_digest != CachedAnswer::CfaSrc(fresh).digest() {
         return Err("src digest diverged".into());
     }
 
@@ -90,21 +85,17 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str) -> Result<(), String> 
     let key = CacheKey::full(AnalysisKind::CfaCps, mode, digest);
     cache.insert(
         key,
-        CachedFixpoint::new(
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&first)),
-            DegradationReport::default(),
-        ),
+        CachedFixpoint::new(CachedAnswer::CfaCps(first), DegradationReport::default()),
     );
     let hit = cache.lookup(&key).ok_or("cps entry vanished")?;
-    let CachedAnswer::CfaCps(mirror) = &hit.answer else {
+    let CachedAnswer::CfaCps(restored) = &hit.answer else {
         return Err("cps entry changed kind".into());
     };
-    let restored = mirror.to_result();
     let fresh = solve_cps()?;
     if !restored.same_solution(&fresh) {
         return Err("cps hit diverged from fresh solve".into());
     }
-    if hit.answer_digest != SendCpsCfa::from_result(&fresh).solution_digest() {
+    if hit.answer_digest != CachedAnswer::CfaCps(fresh).digest() {
         return Err("cps digest diverged".into());
     }
     Ok(())
@@ -199,7 +190,7 @@ fn degraded_rung_commit_never_shadows_full_precision() {
     assert_eq!(rung, "cfa.src");
 
     let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         other => panic!("expected the direct fallback, got {other:?}"),
     };
     let mut cache = FixpointCache::new(u64::MAX);
@@ -239,7 +230,7 @@ fn degraded_pushdown_commit_never_shadows_upper_rungs() {
     assert_eq!(rung, "cfa.src");
 
     let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         other => panic!("expected the direct fallback, got {other:?}"),
     };
     let mut cache = FixpointCache::new(u64::MAX);

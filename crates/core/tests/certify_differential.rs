@@ -24,8 +24,7 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
 use cpsdfa_core::cache::{
-    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache, SendCfa,
-    SendCpsCfa, SendPushdown,
+    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache,
 };
 use cpsdfa_core::certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
@@ -39,7 +38,6 @@ use cpsdfa_core::govern::{DegradationReport, RunGuard};
 use cpsdfa_core::incremental::{
     solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, WarmSolve,
 };
-use cpsdfa_core::labtab::LabelTable;
 use cpsdfa_core::mfp::{Cfg, DfSummary};
 use cpsdfa_core::pushdown::{pushdown_cfa, MatchedReturn, PushdownCfaResult};
 use cpsdfa_core::trace::NoopSink;
@@ -47,12 +45,12 @@ use cpsdfa_core::{AbsClo, AbsKont, SolverMode};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
+use cpsdfa_syntax::Label;
 use cpsdfa_workloads::families;
 use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
 use cpsdfa_workloads::random::{corpus, open_config};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 fn digest_in_fresh_arena(src: &str) -> u128 {
     let mut arena = TermArena::new();
@@ -97,24 +95,12 @@ fn check_certify(p: &AnfProgram, src_text: &str, i: usize) -> Result<(), String>
     // --- cached path: round-trip the slot's pick through the cache and
     // certify the *looked-up* answer, exactly as the daemon does ---
     let (kind, answer) = match i % 4 {
-        0 => (
-            AnalysisKind::CfaSrc,
-            CachedAnswer::CfaSrc(SendCfa::from_result(&src)),
-        ),
-        1 => (
-            AnalysisKind::CfaCps,
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps_r)),
-        ),
-        2 => (
-            AnalysisKind::CfaPushdown,
-            CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd)),
-        ),
-        _ => match &mfp {
-            Some(s) => (AnalysisKind::MfpFlat, CachedAnswer::MfpFlat(s.clone())),
-            None => (
-                AnalysisKind::CfaSrc,
-                CachedAnswer::CfaSrc(SendCfa::from_result(&src)),
-            ),
+        0 => (AnalysisKind::CfaSrc, CachedAnswer::CfaSrc(src)),
+        1 => (AnalysisKind::CfaCps, CachedAnswer::CfaCps(cps_r)),
+        2 => (AnalysisKind::CfaPushdown, CachedAnswer::CfaPushdown(pd)),
+        _ => match mfp {
+            Some(s) => (AnalysisKind::MfpFlat, CachedAnswer::MfpFlat(s)),
+            None => (AnalysisKind::CfaSrc, CachedAnswer::CfaSrc(src)),
         },
     };
     let mut cache = FixpointCache::new(u64::MAX);
@@ -210,9 +196,7 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
         for poison in [AbsClo::Dec, AbsClo::Inc] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i].insert(poison);
                 return Some(m);
             }
         }
@@ -223,20 +207,20 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
 fn src_drop_fact(r: &CfaResult) -> Option<CfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = BTreeSet::new();
     Some(m)
 }
 
+/// Empties the first non-empty call entry.
+fn drop_call_edge(calls: &mut [(Label, BTreeSet<AbsClo>)]) -> Option<()> {
+    let i = calls.iter().position(|(_, s)| !s.is_empty())?;
+    calls[i].1 = BTreeSet::new();
+    Some(())
+}
+
 fn src_drop_call_edge(r: &CfaResult) -> Option<CfaResult> {
-    let site = r
-        .calls
-        .iter()
-        .find(|(_, s)| !s.is_empty())
-        .map(|(l, _)| l)?;
     let mut m = r.clone();
-    let mut calls = (*r.calls).clone();
-    calls.insert(site, BTreeSet::new());
-    m.calls = Rc::new(calls);
+    drop_call_edge(&mut m.calls)?;
     Some(m)
 }
 
@@ -245,9 +229,7 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
         for poison in [CpsFlow::Clo(AbsClo::Dec), CpsFlow::Clo(AbsClo::Inc)] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i].insert(poison);
                 return Some(m);
             }
         }
@@ -258,18 +240,13 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
 fn cps_drop_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = BTreeSet::new();
     Some(m)
 }
 
 fn cps_drop_call_edge(r: &CpsCfaResult) -> Option<CpsCfaResult> {
-    let site = r
-        .calls
-        .iter()
-        .find(|(_, s)| !s.is_empty())
-        .map(|(l, _)| l)?;
     let mut m = r.clone();
-    m.calls.insert(site, BTreeSet::new());
+    drop_call_edge(&mut m.calls)?;
     Some(m)
 }
 
@@ -278,9 +255,7 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
         for poison in [CpsFlow::Clo(AbsClo::Dec), CpsFlow::Clo(AbsClo::Inc)] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i].insert(poison);
                 return Some(m);
             }
         }
@@ -291,31 +266,28 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
 fn pd_drop_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = BTreeSet::new();
     Some(m)
 }
 
 fn pd_drop_call_edge(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
-    let site = r
-        .calls
-        .iter()
-        .find(|(_, s)| !s.is_empty())
-        .map(|(l, _)| l)?;
     let mut m = r.clone();
-    m.calls.insert(site, BTreeSet::new());
+    drop_call_edge(&mut m.calls)?;
     Some(m)
 }
 
 /// Adds one continuation to a `returns` entry that lacks it: `stop`, or a
 /// continuation some other return site resumes.
-fn returns_add(t: &LabelTable<BTreeSet<AbsKont>>) -> Option<LabelTable<BTreeSet<AbsKont>>> {
+type Returns = Vec<(Label, BTreeSet<AbsKont>)>;
+
+fn returns_add(t: &Returns) -> Option<Returns> {
     let pool: BTreeSet<AbsKont> = std::iter::once(AbsKont::Stop)
-        .chain(t.values().flatten().copied())
+        .chain(t.iter().flat_map(|(_, s)| s).copied())
         .collect();
-    for (site, set) in t.iter() {
+    for (i, (_, set)) in t.iter().enumerate() {
         if let Some(&k) = pool.iter().find(|k| !set.contains(k)) {
             let mut m = t.clone();
-            m.entry_or_default(site).insert(k);
+            m[i].1.insert(k);
             return Some(m);
         }
     }
@@ -325,18 +297,18 @@ fn returns_add(t: &LabelTable<BTreeSet<AbsKont>>) -> Option<LabelTable<BTreeSet<
 /// Drops one continuation from the first non-empty `returns` entry, and
 /// the entry with it when that empties it (the analyzers store no empty
 /// entries).
-fn returns_drop(t: &LabelTable<BTreeSet<AbsKont>>) -> Option<LabelTable<BTreeSet<AbsKont>>> {
+fn returns_drop(t: &Returns) -> Option<Returns> {
     let (site, k) = t
         .iter()
-        .find_map(|(l, s)| s.iter().next().map(|&k| (l, k)))?;
+        .find_map(|(l, s)| s.iter().next().map(|&k| (*l, k)))?;
     Some(
         t.iter()
             .filter_map(|(l, s)| {
                 let mut s = s.clone();
-                if l == site {
+                if *l == site {
                     s.remove(&k);
                 }
-                (!s.is_empty()).then_some((l, s))
+                (!s.is_empty()).then_some((*l, s))
             })
             .collect(),
     )
@@ -385,14 +357,17 @@ fn pd_add_matched(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
         }))
         .find(|w| !r.matched.contains(w))?;
     let mut m = r.clone();
-    m.matched.insert(forged);
+    let at = m.matched.binary_search(&forged).unwrap_err();
+    m.matched.insert(at, forged);
     Some(m)
 }
 
 fn pd_drop_matched(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
-    let w = *r.matched.iter().next()?;
+    if r.matched.is_empty() {
+        return None;
+    }
     let mut m = r.clone();
-    m.matched.remove(&w);
+    m.matched.remove(0);
     Some(m)
 }
 

@@ -70,7 +70,7 @@ pub mod proto;
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
     AnalysisKind, Ancestor, ArenaDigests, CacheKey, CacheStats, CachedAnswer, CachedFixpoint,
-    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown,
+    FixpointCache, PersistDir, RecoveryReport,
 };
 use cpsdfa_core::certify::certify_answer;
 use cpsdfa_core::domain::Flat;
@@ -561,7 +561,7 @@ impl AnalysisService {
             self.cache
                 .lock()
                 .expect("cache poisoned")
-                .insert(full_key, (*fixpoint).clone());
+                .insert(full_key, std::sync::Arc::clone(&fixpoint));
             self.spill(&full_key, &req.program, &fixpoint);
             self.note_session(session, req, digest, &fixpoint);
             let resp = finish(Status::Ok {
@@ -580,9 +580,9 @@ impl AnalysisService {
         // its own representation so a degraded-rung probe gets back
         // exactly what was computed.
         let pack_cfa = |answer: CfaAnswer| match answer {
-            CfaAnswer::Pushdown(r) => CachedAnswer::CfaPushdown(SendPushdown::from_result(&r)),
-            CfaAnswer::Cps(r) => CachedAnswer::CfaCps(SendCpsCfa::from_result(&r)),
-            CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+            CfaAnswer::Pushdown(r) => CachedAnswer::CfaPushdown(r),
+            CfaAnswer::Cps(r) => CachedAnswer::CfaCps(r),
+            CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         };
         let governed =
             match req.kind {
@@ -597,12 +597,7 @@ impl AnalysisService {
                             Ok(cfa::zero_cfa_guarded(&prog, g, &mut sink)?.0)
                         })
                         .run(&guard, sink)
-                        .map(|g| {
-                            (
-                                CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
-                                g.report,
-                            )
-                        })
+                        .map(|g| (CachedAnswer::CfaSrc(g.value), g.report))
                 }
                 AnalysisKind::MfpFlat => {
                     let cfg = match Cfg::from_first_order(&prog) {
@@ -662,7 +657,7 @@ impl AnalysisService {
             self.cache
                 .lock()
                 .expect("cache poisoned")
-                .insert(commit_key, (*fixpoint).clone());
+                .insert(commit_key, std::sync::Arc::clone(&fixpoint));
             self.spill(&commit_key, &req.program, &fixpoint);
             if let Some(session) = req.session {
                 self.note_session(session, req, digest, &fixpoint);
@@ -752,10 +747,9 @@ impl AnalysisService {
         let guard = self.policy_for(req).guard();
         let warm = match &anc.fixpoint.answer {
             CachedAnswer::CfaSrc(prev) => {
-                match incremental::zero_cfa_incremental(&old, &prev.to_result(), prog, &guard, sink)
-                {
+                match incremental::zero_cfa_incremental(&old, prev, prog, &guard, sink) {
                     Ok(WarmSolve::Warm(result, report)) => {
-                        Some((CachedAnswer::CfaSrc(SendCfa::from_result(&result)), report))
+                        Some((CachedAnswer::CfaSrc(result), report))
                     }
                     _ => None,
                 }
@@ -763,34 +757,22 @@ impl AnalysisService {
             CachedAnswer::CfaCps(prev) => {
                 let old_cps = CpsProgram::from_anf(&old);
                 let new_cps = CpsProgram::from_anf(prog);
-                match incremental::zero_cfa_cps_incremental(
-                    &old_cps,
-                    &prev.to_result(),
-                    &new_cps,
-                    &guard,
-                    sink,
-                ) {
-                    Ok(WarmSolve::Warm(result, report)) => Some((
-                        CachedAnswer::CfaCps(SendCpsCfa::from_result(&result)),
-                        report,
-                    )),
+                match incremental::zero_cfa_cps_incremental(&old_cps, prev, &new_cps, &guard, sink)
+                {
+                    Ok(WarmSolve::Warm(result, report)) => {
+                        Some((CachedAnswer::CfaCps(result), report))
+                    }
                     _ => None,
                 }
             }
             CachedAnswer::CfaPushdown(prev) => {
                 let old_cps = CpsProgram::from_anf(&old);
                 let new_cps = CpsProgram::from_anf(prog);
-                match incremental::pushdown_cfa_incremental(
-                    &old_cps,
-                    &prev.to_result(),
-                    &new_cps,
-                    &guard,
-                    sink,
-                ) {
-                    Ok(WarmSolve::Warm(result, report)) => Some((
-                        CachedAnswer::CfaPushdown(SendPushdown::from_result(&result)),
-                        report,
-                    )),
+                match incremental::pushdown_cfa_incremental(&old_cps, prev, &new_cps, &guard, sink)
+                {
+                    Ok(WarmSolve::Warm(result, report)) => {
+                        Some((CachedAnswer::CfaPushdown(result), report))
+                    }
                     _ => None,
                 }
             }

@@ -6,7 +6,9 @@
 //! expire on the TTL, and the `health` control line reports the recovery.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, SendCfa};
+use cpsdfa_core::cache::{
+    AnalysisKind, Ancestor, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
+};
 use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::DegradationReport;
 use cpsdfa_core::{cfa, PersistDir, SolverMode};
@@ -148,6 +150,58 @@ fn restarted_daemon_warm_starts_journaled_watch_sessions() {
 }
 
 #[test]
+fn a_journal_with_out_of_range_labels_falls_back_cold() {
+    // Session journals are not certified at recovery, so a warm start must
+    // not trust the labels it reads back. Journal a checksum-valid
+    // ancestor whose `terms` table carries one label far past the
+    // program's, restart, and send a real edit: the warm driver must
+    // decline and the ladder answer cold, instead of indexing its label
+    // maps with the forged label.
+    let dir = tmpdir("journal-labels");
+    let base = families::dispatch(2);
+    let edited = cpsdfa_syntax::build::let_("fresh", cpsdfa_syntax::build::num(7), base.clone());
+    let source = base.to_string();
+    {
+        let persist = PersistDir::open(&dir).unwrap();
+        let mut arena = TermArena::new();
+        let root = arena.parse(&source).unwrap();
+        let digest = ArenaDigests::new().term_digest(&arena, root);
+        let mut answer = cfa::zero_cfa(&AnfProgram::parse(&source).unwrap()).unwrap();
+        answer.terms.push((
+            cpsdfa_syntax::Label::new(1 << 20),
+            [cpsdfa_core::AbsClo::Inc].into(),
+        ));
+        let ancestor = Ancestor {
+            kind: AnalysisKind::CfaSrc,
+            digest,
+            source: source.clone(),
+            fixpoint: Arc::new(CachedFixpoint::new(
+                CachedAnswer::CfaSrc(answer),
+                DegradationReport::default(),
+            )),
+        };
+        assert!(persist.store_session(7, &ancestor, None).unwrap());
+    }
+
+    let service = AnalysisService::new(config(&dir));
+    let rec = service.recovery().expect("persist dir recovered");
+    assert_eq!(
+        rec.sessions, 1,
+        "the journal itself is well formed: {rec:?}"
+    );
+    let line = session_request(1, 7, "cfa.src", &edited.to_string());
+    let outcomes = service.run_batch(&[&line]);
+    let (cache, digest) = ok_fields(&outcomes[0].response);
+    assert_eq!(
+        *cache,
+        Served::Miss,
+        "the forged ancestor is not warm-started"
+    );
+    assert_eq!(digest, cold_digest("cfa.src", &edited.to_string()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn every_injected_persistence_fault_is_detected_and_healed_across_restart() {
     for fault in PersistFault::ALL {
         let dir = tmpdir(fault.as_str());
@@ -237,10 +291,8 @@ fn certify_on_hit_evicts_a_poisoned_entry_and_recomputes() {
         let digest = digests.term_digest(&arena, root);
         let key = CacheKey::full(cpsdfa_core::AnalysisKind::CfaSrc, SolverMode::Seq, digest);
         let wrong = cfa::zero_cfa(&AnfProgram::parse(&other).unwrap()).unwrap();
-        let fixpoint = CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&wrong)),
-            DegradationReport::default(),
-        );
+        let fixpoint =
+            CachedFixpoint::new(CachedAnswer::CfaSrc(wrong), DegradationReport::default());
         assert!(persist.store(&key, &good, &fixpoint, None).unwrap());
     }
 

@@ -67,7 +67,7 @@ fn warm_repeat_hits_bit_identically_for_all_three_analyses() {
         assert!(!cold_degraded && !warm_degraded);
         assert_eq!(cold_rung, warm_rung);
         assert_eq!(cold_digest, warm_digest, "hit must be bit-identical");
-        // Not just the digest: the whole committed answer mirrors compare
+        // Not just the digest: the whole committed answers compare
         // equal.
         let a = outcomes[cold].fixpoint.as_ref().expect("answered");
         let b = outcomes[warm].fixpoint.as_ref().expect("answered");
@@ -363,13 +363,13 @@ fn pushdown_requests_answer_warm_hit_and_report_zero_false_returns() {
     // on the same program does).
     match &outcomes[0].fixpoint.as_ref().expect("answered").answer {
         CachedAnswer::CfaPushdown(sp) => {
-            assert_eq!(sp.to_result().false_return_edges(), 0);
+            assert_eq!(sp.false_return_edges(), 0);
         }
         other => panic!("expected a pushdown answer, got {other:?}"),
     }
     match &outcomes[1].fixpoint.as_ref().expect("answered").answer {
         CachedAnswer::CfaCps(sc) => {
-            assert!(sc.to_result().false_return_edges() > 0);
+            assert!(sc.false_return_edges() > 0);
         }
         other => panic!("expected a cps answer, got {other:?}"),
     }

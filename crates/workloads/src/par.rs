@@ -10,10 +10,11 @@
 //! into one contiguous slice per worker.
 //!
 //! Each worker runs whole analyses and owns all of its mutable state; in
-//! particular every sparse 0CFA run builds its own
-//! `cpsdfa_core::SetPool`, so pools stay single-threaded and lock-free by
-//! construction (they are `!Sync` — built on `Rc` — which the compiler
-//! enforces here).
+//! particular every sparse 0CFA run builds its own value store
+//! (`cpsdfa_core::DeltaNodes`) and its own `RunGuard`, whose `Rc`-shared
+//! counters are `!Send`, so no solve's working state can cross threads.
+//! What a solve returns is plain owned data (`Send + Sync`), which is why
+//! results can be collected across workers and cached by the daemon.
 //!
 //! [`par_map_isolated`] adds per-item panic isolation (`catch_unwind`, so
 //! one poisoned program no longer aborts a corpus sweep) and cooperative
@@ -252,7 +253,7 @@ mod tests {
     #[test]
     fn runs_real_analyses_per_worker() {
         // Each worker builds its own programs and (inside zero_cfa) its own
-        // set pool; results must match the sequential run exactly.
+        // value store; results must match the sequential run exactly.
         let sizes: Vec<usize> = (1..=8).collect();
         let par: Vec<usize> = par_map(&sizes, |&n| {
             let p = cpsdfa_anf::AnfProgram::from_term(&crate::families::dispatch(n));
